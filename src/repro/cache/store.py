@@ -6,9 +6,11 @@ fingerprint keys of :mod:`repro.cache.fingerprint`:
 * ``solve/<k0k1>/<key>.npz`` — one per-slot solve result (the
   edge-space :class:`~repro.model.allocation.Allocation` plus the
   reduced solution vector, i.e. the next slot's warm-start seed);
-* ``state/<k0k1>/<key>.npz`` — one whole-session snapshot in the
-  checkpoint serialization (:mod:`repro.serve.checkpoint`), so the
-  blob format is exactly ``SolveSession.export_state``'s.
+* ``state/<k0k1>/<key>.npz`` (+ ``<key>.npz.journal``) — one
+  whole-session snapshot in the checkpoint serialization
+  (:mod:`repro.serve.checkpoint`): a carry file and its decision
+  journal, so the blob format is exactly ``SolveSession.export_state``'s.
+  The two files are removed together.
 
 Concurrency model: **read-mostly sharing with atomic single-writer
 renames** (the CloudRouting ``filecache.py`` idiom).  Writers stage
@@ -117,12 +119,29 @@ class SolverStateStore:
                 op=op,
             ).inc(amount)
 
-    def _discard_corrupt(self, path: Path) -> None:
-        self._publish("corrupt")
+    @staticmethod
+    def _unlink(path: Path) -> bool:
+        """Remove a blob, then its journal if it has one.
+
+        Returns ``False`` when the blob itself was already gone (another
+        process removed it first).
+        """
+        from repro.serve.checkpoint import journal_path
+
         try:
             path.unlink()
+            removed = True
+        except OSError:
+            removed = False
+        try:
+            journal_path(path).unlink()
         except OSError:
             pass
+        return removed
+
+    def _discard_corrupt(self, path: Path) -> None:
+        self._publish("corrupt")
+        self._unlink(path)
 
     @staticmethod
     def _atomic_write(path: Path, payload: bytes) -> None:
@@ -264,9 +283,7 @@ class SolverStateStore:
         # Oldest first; key name breaks mtime ties deterministically.
         blobs.sort(key=lambda p: (p.stat().st_mtime_ns, p.name))
         for path in blobs[: len(blobs) - self.max_entries]:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - raced with another writer
+            if not self._unlink(path):  # pragma: no cover - raced with another writer
                 continue
             self._memory.pop(path.stem, None)
             self._publish("evict")
@@ -274,13 +291,20 @@ class SolverStateStore:
 
     def stats(self) -> dict:
         """Directory-level view: entry counts, bytes, and op counters."""
+        from repro.serve.checkpoint import journal_path
+
         entries: "dict[str, int]" = {}
         total_bytes = 0
         for kind in ("solve", "state"):
             kind_dir = self.root / kind
             blobs = list(kind_dir.glob("*/*.npz")) if kind_dir.is_dir() else []
             entries[kind] = len(blobs)
-            total_bytes += sum(p.stat().st_size for p in blobs)
+            total_bytes += sum(
+                f.stat().st_size
+                for p in blobs
+                for f in (p, journal_path(p))
+                if f.exists()
+            )
         return {
             "root": str(self.root),
             "entries": entries,

@@ -284,6 +284,10 @@ class SolveSession:
         bitwise-identical future trajectory: the step index, the
         controller's carried state, the decisions taken so far and
         their per-step statistics.
+
+        ``steps`` and ``step_stats`` are the session's own lists, not
+        copies, so a snapshot per slot costs O(1): read them before
+        the next step, never modify them.
         """
         export = getattr(self.controller, "export_state", None)
         if export is None:
@@ -295,8 +299,8 @@ class SolveSession:
         return {
             "t": self.t,
             "controller": export(self.state),
-            "steps": list(self._steps),
-            "step_stats": list(self._step_stats),
+            "steps": self._steps,
+            "step_stats": self._step_stats,
         }
 
     @classmethod
@@ -382,15 +386,14 @@ class SolveSession:
         return RunStats(list(self._step_stats))
 
     @property
-    def step_stats(self) -> "list[StepStats]":
-        """The per-step statistics list itself (read-only use).
+    def last_step_stats(self) -> "StepStats | None":
+        """The latest step's statistics (``None`` before the first step).
 
-        The sharded serve runtime reads the last entry after every
-        slot to ship the shard's solver work to the coordinator, which
-        folds the per-shard entries into the merged report's
-        ``run_stats``.
+        The sharded serve runtime reads it after every slot to ship the
+        shard's solver work to the coordinator, which folds the
+        per-shard entries into the merged report's ``run_stats``.
         """
-        return list(self._step_stats)
+        return self._step_stats[-1] if self._step_stats else None
 
     def trajectory(self) -> Any:
         """Assemble the steps taken so far into a trajectory.

@@ -10,7 +10,8 @@ Layers, bottom to top:
 * :mod:`repro.serve.events` — the structured JSONL event log every
   run emits (consumed by ``repro replay`` and
   :func:`repro.evaluation.reporting.render_serve_events`);
-* :mod:`repro.serve.checkpoint` — atomic checkpoint files enabling
+* :mod:`repro.serve.checkpoint` — checkpoints (an atomically replaced
+  carry file plus an append-only decision journal) enabling
   bitwise-identical resume of a killed run;
 * :mod:`repro.serve.runtime` — :class:`ServeLoop`, the deadline-aware
   loop with the hold/greedy fallback chain.

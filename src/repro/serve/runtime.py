@@ -50,6 +50,7 @@ from repro.serve.checkpoint import load_checkpoint, save_checkpoint
 from repro.serve.events import EVENT_SCHEMA, EventLog, summarize_events
 from repro.serve.faults import FaultInjector, SolverFailure, SolverStall
 from repro.serve.sources import SlotSource, as_source
+from repro.solvers.blas import blas_info
 
 
 def greedy_cover(
@@ -142,8 +143,11 @@ class ServeConfig:
         resume tests).
     checkpoint_path, checkpoint_every:
         Write a crash-safe checkpoint every ``checkpoint_every`` slots
-        (0 disables).  A final checkpoint is always written at the end
-        of :meth:`ServeLoop.run` when a path is configured.
+        (0 disables): the carry file at ``checkpoint_path`` plus its
+        decision journal ``<checkpoint_path>.journal``
+        (:mod:`repro.serve.checkpoint`).  A final checkpoint is always
+        written at the end of :meth:`ServeLoop.run` when a path is
+        configured.
     injector:
         Optional deterministic fault injector exercising the fallback
         chain (tests, smoke jobs).
@@ -280,6 +284,7 @@ class ServeLoop:
         on_slot=None,
         _session: "SolveSession | None" = None,
         _paths: "list[str] | None" = None,
+        _journaled: int = 0,
     ) -> None:
         self.controller = controller
         self.source: SlotSource = as_source(source)
@@ -294,6 +299,8 @@ class ServeLoop:
                 controller, self._session_source(), initial=initial
             )
         self.paths: "list[str]" = list(_paths or [])
+        # Leading records of the checkpoint journal this run has on disk.
+        self._journaled = _journaled
         steps = self.session._steps
         self._last: "Allocation | None" = steps[-1] if steps else initial
         self._outcomes: "list[SlotOutcome]" = []
@@ -328,6 +335,12 @@ class ServeLoop:
             getattr(src, "instance", src.network),
             snapshot,
         )
+        # Checkpointing back into the file resumed from continues its
+        # journal; any other path starts a journal of its own.
+        target = config.checkpoint_path if config is not None else None
+        same = target is not None and (
+            Path(target).resolve() == Path(checkpoint_path).resolve()
+        )
         return cls(
             controller,
             src,
@@ -337,6 +350,7 @@ class ServeLoop:
             on_slot=on_slot,
             _session=session,
             _paths=snapshot["paths"],
+            _journaled=len(snapshot["steps"]) if same else 0,
         )
 
     # ------------------------------------------------------------------
@@ -363,6 +377,7 @@ class ServeLoop:
             deadline_s=cfg.deadline_s,
             enforce=cfg.enforce if cfg.deadline_s is not None else None,
             cache=cache_runtime.active_dir(),
+            blas=blas_info(),
         )
         error: "str | None" = None
         count = 0
@@ -572,6 +587,7 @@ class ServeLoop:
 
     # ------------------------------------------------------------------
     def _write_checkpoint(self) -> None:
+        """Append the slots decided since the last write, then replace the carry."""
         cfg = self.config
         snapshot = self.session.export_state()
         save_checkpoint(
@@ -580,12 +596,14 @@ class ServeLoop:
             controller_name=self.controller.name,
             paths=self.paths,
             extra=cfg.checkpoint_extra,
+            journaled=self._journaled,
         )
+        self._journaled = len(snapshot["steps"])
         self.log.emit(
             "checkpoint_written",
             t=self.session.t,
             path=str(cfg.checkpoint_path),
-            n_steps=len(snapshot["steps"]),
+            n_steps=self._journaled,
         )
         # Checkpoints are the durability boundary: make the trace and
         # telemetry streams on disk at least as current as the

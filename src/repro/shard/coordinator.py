@@ -65,6 +65,7 @@ from repro.shard.partition import (
 )
 from repro.shard.subnet import ShardView
 from repro.shard.worker import ShardPayload, worker_main
+from repro.solvers.blas import blas_info
 
 #: Schema identifier of the coordinator's layout checkpoint.
 SHARD_CHECKPOINT_SCHEMA = "repro-shard-ckpt/v1"
@@ -307,6 +308,7 @@ class ShardedServeLoop:
             deadline_s=cfg.deadline_s,
             enforce=cfg.enforce if cfg.deadline_s is not None else None,
             cache=cache_runtime.active_dir(),
+            blas=blas_info(),
             shards=self.plan.n_shards,
             partition=self.plan.policy,
             assignments=[list(a) for a in self.plan.assignments],

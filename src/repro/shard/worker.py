@@ -25,7 +25,7 @@ Restart protocol: a worker relaunched with ``resume=True`` rebuilds
 its loop from its checkpoint (bitwise resume, PR 3's guarantee) and
 first *re-sends* any slots in ``[resend_from, checkpoint_t)`` the
 coordinator never received, reconstructed from the checkpoint's
-decision arrays and the shard's durable event log — re-sent slots are
+decision journal and the shard's durable event log — re-sent slots are
 not re-solved and publish no metrics, so the merged registry counts
 each slot's work exactly once.
 """
@@ -108,7 +108,7 @@ def _slot_message(
 def _replay_missed_slots(payload: ShardPayload, snapshot: dict, conn) -> None:
     """Re-send checkpointed slots the coordinator never received.
 
-    Decisions come bitwise from the checkpoint arrays; the slot's
+    Decisions come bitwise from the checkpoint journal; the slot's
     metadata (path, served, deadline miss, fallback reason) from the
     shard's durable event log, which the serve loop flushes before
     every checkpoint — so everything up to ``snapshot["t"]`` is on
@@ -194,7 +194,7 @@ def run_shard_worker(payload: ShardPayload, conn) -> int:
 
     def on_slot(loop: ServeLoop, outcome) -> None:
         heartbeat(outcome.t)
-        stats = loop.session.step_stats
+        stats = loop.session.last_step_stats
         conn.send(
             _slot_message(
                 payload.shard,
@@ -205,7 +205,7 @@ def run_shard_worker(payload: ShardPayload, conn) -> int:
                 deadline_missed=outcome.deadline_missed,
                 error=outcome.error,
                 wall_time=outcome.wall_time,
-                stats=stats[-1].to_dict() if stats else None,
+                stats=stats.to_dict() if stats else None,
             )
         )
         if payload.kill_after is not None and outcome.t == payload.kill_after:

@@ -17,8 +17,13 @@ provides the two solver layers everything else is built on:
   (the coupled ``sequential`` reference and the component-decomposed
   ``batched`` backend), selected by
   :class:`~repro.core.subproblem.SubproblemConfig`.
+
+Importing the package pins numpy's and scipy's bundled OpenBLAS to one
+thread (:mod:`repro.solvers.blas`), so decisions do not depend on the
+host's core count.
 """
 
+from repro.solvers.blas import pin_threads
 from repro.solvers.lp import LinearProgram, LPSolution, LPError
 from repro.solvers.convex import (
     ConvexSolverError,
@@ -42,3 +47,5 @@ __all__ = [
     "first_order_certificate",
     "block_first_order_certificates",
 ]
+
+pin_threads()

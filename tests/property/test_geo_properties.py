@@ -13,10 +13,14 @@ lons = st.floats(-180.0, 180.0, allow_nan=False)
 
 
 def coord_arrays(n):
-    return st.tuples(
-        st.lists(lats, min_size=n, max_size=8).map(np.array),
-        st.lists(lons, min_size=n, max_size=8).map(np.array),
-    ).filter(lambda t: t[0].shape == t[1].shape)
+    # Draw the length first: filtering independent lengths for a match
+    # rejected most draws and tripped Hypothesis's filter_too_much check.
+    return st.integers(n, 8).flatmap(
+        lambda size: st.tuples(
+            st.lists(lats, min_size=size, max_size=size).map(np.array),
+            st.lists(lons, min_size=size, max_size=size).map(np.array),
+        )
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -183,6 +183,40 @@ class TestStateBlobs:
         assert store.counters.corrupt == 1
 
 
+    def test_state_blob_is_a_carry_file_and_journal(self, tmp_path):
+        from repro.engine import SlotData, SolveSession
+        from repro.core import RegularizedOnline
+        from repro.serve.checkpoint import journal_path
+
+        from conftest import make_instance
+
+        network = make_network()
+        instance = make_instance(network, horizon=3, seed=1)
+        session = SolveSession(RegularizedOnline(), network)
+        for t in range(3):
+            session.step(SlotData.from_instance(instance, t))
+        store = SolverStateStore(tmp_path)
+        key = session_key("fp", "regularized-online")
+        path = store.put_state(key, session.export_state())
+        journal = journal_path(path)
+        assert journal.stat().st_size > 0
+        assert store.stats()["bytes"] == (
+            path.stat().st_size + journal.stat().st_size
+        )
+        loaded = SolverStateStore(tmp_path).get_state(key)
+        assert [a.y.tobytes() for a in loaded["steps"]] == [
+            a.y.tobytes() for a in session._steps
+        ]
+        # A damaged journal record discards the carry file and journal
+        # together.
+        damaged = bytearray(journal.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        journal.write_bytes(bytes(damaged))
+        assert store.get_state(key) is None
+        assert store.counters.corrupt == 1
+        assert not path.exists() and not journal.exists()
+
+
 class TestMaintenance:
     def test_stats_shape(self, tmp_path):
         store = SolverStateStore(tmp_path, max_entries=9)

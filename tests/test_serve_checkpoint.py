@@ -7,6 +7,8 @@ uninterrupted run's — including under deterministic fault injection.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.serve import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.serve.checkpoint import journal_path
 
 from conftest import make_instance, make_network
 
@@ -238,3 +241,156 @@ class TestCheckpointFlushesObservability:
             finally:
                 obs_telemetry.detach()
                 obs_tracing.disable()
+
+
+def _serve(instance, injector, path, max_slots):
+    """Serve (or continue serving) ``max_slots`` slots, checkpointing each."""
+    config = ServeConfig(
+        injector=injector, checkpoint_path=path, checkpoint_every=1,
+        max_slots=max_slots,
+    )
+    if path.exists():
+        return ServeLoop.resume(
+            RegularizedOnline(EPS), instance, path, config=config
+        ).run()
+    return ServeLoop(RegularizedOnline(EPS), instance, config).run()
+
+
+def _assert_resumes_bitwise(instance, injector, uninterrupted, path):
+    resumed = ServeLoop.resume(
+        RegularizedOnline(EPS), instance, path, config=ServeConfig(injector=injector)
+    ).run()
+    full = uninterrupted.trajectory
+    for a, b in ((resumed.trajectory.x, full.x), (resumed.trajectory.y, full.y),
+                 (resumed.trajectory.s, full.s)):
+        assert a.tobytes() == b.tobytes()
+    assert resumed.paths == uninterrupted.paths
+
+
+class TestJournal:
+    """The append-only decision journal behind every checkpoint."""
+
+    @pytest.fixture
+    def crashed(self, instance, injector, tmp_path):
+        """A run whose last append landed but whose carry is one slot old.
+
+        Returns ``(path, carry_bytes, journal_bytes, record_bytes)``:
+        the carry file committed after ``HORIZON - 1`` slots, and the
+        journal after one more slot's record was appended.
+        """
+        path = tmp_path / "ck.npz"
+        _serve(instance, injector, path, HORIZON - 1)
+        carry = path.read_bytes()
+        _serve(instance, injector, path, 1)
+        journal = journal_path(path).read_bytes()
+        assert len(journal) % HORIZON == 0
+        return path, carry, journal, len(journal) // HORIZON
+
+    def test_torn_last_record_is_truncated_and_resumes_bitwise(
+        self, instance, injector, uninterrupted, crashed
+    ):
+        path, carry, journal, record = crashed
+        committed = (HORIZON - 1) * record
+        for cut in range(committed + 1, committed + record):
+            path.write_bytes(carry)
+            journal_path(path).write_bytes(journal[:cut])
+            _assert_resumes_bitwise(instance, injector, uninterrupted, path)
+            assert journal_path(path).stat().st_size == committed
+
+    def test_journal_ahead_of_carry_is_truncated_and_resumes_bitwise(
+        self, instance, injector, uninterrupted, crashed
+    ):
+        # Crash between the append and the carry replace: the journal
+        # holds one record more than the carry file commits.
+        path, carry, journal, record = crashed
+        path.write_bytes(carry)
+        journal_path(path).write_bytes(journal)
+        loaded = load_checkpoint(path)
+        assert loaded["t"] == len(loaded["steps"]) == HORIZON - 1
+        assert journal_path(path).stat().st_size == (HORIZON - 1) * record
+        _assert_resumes_bitwise(instance, injector, uninterrupted, path)
+
+    @pytest.mark.parametrize("index", [0, 2, HORIZON - 1])
+    def test_flipped_byte_in_committed_record_is_named(
+        self, instance, injector, crashed, index
+    ):
+        path, _, journal, record = crashed
+        damaged = bytearray(journal)
+        damaged[index * record + record // 2] ^= 0x40
+        journal_path(path).write_bytes(bytes(damaged))
+        with pytest.raises(ValueError, match=f"record {index} is corrupt") as exc:
+            load_checkpoint(path)
+        assert str(journal_path(path)) in str(exc.value)
+
+    def test_carry_file_size_does_not_grow_with_t(self, tmp_path):
+        # k = 1: every SLA component is a closed-form star, so 500 slots
+        # serve quickly.
+        network = make_network(k=1)
+        instance = make_instance(network, horizon=500, seed=9)
+        controller = RegularizedOnline(
+            SubproblemConfig(epsilon=1e-2, backend="batched")
+        )
+        path = tmp_path / "ck.npz"
+        config = ServeConfig(checkpoint_path=path, checkpoint_every=1)
+        ServeLoop(controller, instance, replace(config, max_slots=10)).run()
+        at_10 = path.stat().st_size
+        journal_at_10 = journal_path(path).stat().st_size
+        ServeLoop.resume(controller, instance, path, config=config).run()
+        assert load_checkpoint(path)["t"] == 500
+        assert path.stat().st_size == at_10
+        assert journal_path(path).stat().st_size == 50 * journal_at_10
+
+    def test_v1_checkpoint_rejected_with_restart_hint(self, instance, tmp_path):
+        import json
+
+        path = tmp_path / "ck.npz"
+        meta = {"schema": "repro-serve-ckpt/v1", "t": 2, "n_steps": 2}
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)),
+                     steps_x=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="repro-serve-ckpt/v1") as exc:
+            ServeLoop.resume(RegularizedOnline(EPS), instance, path)
+        assert "without --resume" in str(exc.value)
+
+    def test_fresh_run_replaces_a_stale_journal(
+        self, instance, injector, uninterrupted, tmp_path
+    ):
+        path = tmp_path / "ck.npz"
+        _serve(instance, injector, path, HORIZON)
+        record = journal_path(path).stat().st_size // HORIZON
+        path.unlink()  # a new run at the same path, not a resume
+        _serve(instance, injector, path, 3)
+        assert journal_path(path).stat().st_size == 3 * record
+        _assert_resumes_bitwise(instance, injector, uninterrupted, path)
+
+    def test_resume_into_another_path_writes_a_whole_journal(
+        self, instance, injector, uninterrupted, tmp_path
+    ):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        _serve(instance, injector, first, 3)
+        ServeLoop.resume(
+            RegularizedOnline(EPS), instance, first,
+            config=ServeConfig(injector=injector, checkpoint_path=second,
+                               checkpoint_every=1, max_slots=2),
+        ).run()
+        assert load_checkpoint(second)["t"] == 5
+        _assert_resumes_bitwise(instance, injector, uninterrupted, second)
+
+    def test_append_writes_only_new_records(self, network, instance, tmp_path):
+        from repro.engine import SlotData
+
+        path = tmp_path / "ck.npz"
+        session = SolveSession(RegularizedOnline(EPS), network)
+        session.step(SlotData.from_instance(instance, 0))
+        save_checkpoint(path, session.export_state())
+        record = journal_path(path).stat().st_size
+        for t in (1, 2):
+            session.step(SlotData.from_instance(instance, t))
+            save_checkpoint(path, session.export_state(), journaled=t)
+        assert journal_path(path).stat().st_size == 3 * record
+        loaded = load_checkpoint(path)
+        for a, b in zip(loaded["steps"], session._steps):
+            assert a.x.tobytes() == b.x.tobytes()
+        assert [s.to_dict() for s in loaded["step_stats"]] == [
+            s.to_dict() for s in session._step_stats
+        ]
