@@ -250,33 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
         "gauge is the windowed miss rate divided by this (default 0.1)",
     )
     serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the tier-1 clouds across N worker processes; "
-        "merged decisions and metrics are byte-identical to --shards 1 "
-        "(see docs/SERVING.md)",
-    )
-    serve.add_argument(
-        "--partition", choices=["round-robin", "load-balanced", "affinity"],
-        default="round-robin",
-        help="shard partitioning policy: deal SLA components cyclically "
-        "(round-robin), balance by historical demand (load-balanced), or "
-        "keep neighbouring regions together (affinity)",
-    )
-    serve.add_argument(
-        "--kill-shard", action="append", default=None, metavar="K:T",
-        help="fault injection: hard-kill shard K after it serves slot T "
-        "(may be given multiple times); the coordinator restarts it from "
-        "its checkpoint and the merged output is unchanged",
-    )
-    serve.add_argument(
-        "--heartbeat-timeout", type=float, default=60.0, metavar="S",
-        help="restart a shard whose messages stall for S seconds "
-        "(default 60)",
-    )
-    serve.add_argument(
         "--decisions", default=None, metavar="PATH",
-        help="write the merged per-slot decisions as one .npy stack "
-        "(byte-comparable across --shards values; CI's parity check)",
+        help="write the per-slot decisions as one .npy stack "
+        "(byte-comparable across runs, e.g. bounded run + resume vs "
+        "uninterrupted)",
     )
     _add_backend_flag(serve)
     _add_metrics_flag(serve)
@@ -357,18 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(slow; smoke size includes it by default)",
     )
     scenario.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="serve mode: partition across N worker processes "
-        "(merged decisions byte-identical to --shards 1)",
-    )
-    scenario.add_argument(
-        "--partition", choices=["round-robin", "load-balanced", "affinity"],
-        default="round-robin", help="serve mode: shard partitioning policy",
-    )
-    scenario.add_argument(
         "--decisions", default=None, metavar="PATH",
         help="serve mode: write per-slot decisions as one .npy stack "
-        "(byte-comparable across --shards values)",
+        "(byte-comparable across runs)",
     )
     _add_backend_flag(scenario)
     _add_metrics_flag(scenario)
@@ -382,18 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=["stats", "clear"], help="what to do with the cache"
     )
     cache.add_argument("dir", help="cache directory (the --cache DIR of a run)")
-
-    shard = sub.add_parser(
-        "shard", help="inspect a sharded serve run's telemetry"
-    )
-    shard.add_argument(
-        "action", choices=["status"],
-        help="'status' renders per-shard liveness/progress from the "
-        "shared telemetry directory",
-    )
-    shard.add_argument(
-        "dir", help="telemetry directory the sharded serve streams into"
-    )
     return parser
 
 
@@ -473,17 +429,7 @@ def _cmd_scenario(args) -> int:
         SubproblemConfig(epsilon=args.epsilon, backend=args.backend)
     )
     try:
-        if args.shards > 1:
-            from repro.shard import ShardedServeConfig, ShardedServeLoop
-
-            config = ShardedServeConfig(
-                n_shards=args.shards,
-                partition=args.partition,
-                telemetry_dir=args.telemetry,
-            )
-            report = ShardedServeLoop(controller, source, config).run()
-        else:
-            report = ServeLoop(controller, source, ServeConfig()).run()
+        report = ServeLoop(controller, source, ServeConfig()).run()
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -519,26 +465,12 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _parse_kill_shard(specs: "list[str] | None") -> "dict[int, int]":
-    """Parse repeated ``--kill-shard K:T`` flags into ``{K: T}``."""
-    kills: "dict[int, int]" = {}
-    for spec in specs or []:
-        try:
-            k_str, t_str = spec.split(":", 1)
-            kills[int(k_str)] = int(t_str)
-        except ValueError:
-            raise ValueError(
-                f"--kill-shard expects SHARD:SLOT (e.g. '1:4'), got {spec!r}"
-            ) from None
-    return kills
-
-
 def _write_decisions(path: str, trajectory) -> None:
     """Dump merged decisions as one deterministic ``.npy`` stack.
 
     ``np.save`` of a plain float array is a pure function of the data,
     so two runs that made the same decisions write byte-identical
-    files — the CI shard-smoke job compares them with ``cmp``.
+    files that ``cmp`` can compare.
     """
     import numpy as np
 
@@ -562,14 +494,18 @@ def _cmd_serve(args) -> int:
         write_feed,
     )
 
-    source = TraceCSVSource(
-        args.trace,
-        column=args.column,
-        horizon=args.horizon,
-        k=args.k,
-        n_tier2=args.n_tier2,
-        n_tier1=args.n_tier1,
-    )
+    try:
+        source = TraceCSVSource(
+            args.trace,
+            column=args.column,
+            horizon=args.horizon,
+            k=args.k,
+            n_tier2=args.n_tier2,
+            n_tier1=args.n_tier1,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     controller = RegularizedOnline(
         SubproblemConfig(epsilon=args.epsilon, backend=args.backend)
     )
@@ -580,36 +516,16 @@ def _cmd_serve(args) -> int:
             fail_prob=args.inject_fail,
             seed=args.inject_seed,
         )
-    sharded = args.shards > 1
     try:
-        kills = _parse_kill_shard(args.kill_shard)
-        if sharded:
-            from repro.shard import ShardedServeConfig
-
-            config = ShardedServeConfig(
-                n_shards=args.shards,
-                partition=args.partition,
-                deadline_s=(
-                    None if args.deadline_ms is None else args.deadline_ms / 1e3
-                ),
-                enforce=args.enforce,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
-                injector=injector,
-                telemetry_dir=args.telemetry,
-                kill_shard=kills,
-                heartbeat_timeout_s=args.heartbeat_timeout,
-            )
-        else:
-            config = ServeConfig(
-                deadline_s=(
-                    None if args.deadline_ms is None else args.deadline_ms / 1e3
-                ),
-                enforce=args.enforce,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
-                injector=injector,
-            )
+        config = ServeConfig(
+            deadline_s=(
+                None if args.deadline_ms is None else args.deadline_ms / 1e3
+            ),
+            enforce=args.enforce,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
+            injector=injector,
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -635,21 +551,17 @@ def _cmd_serve(args) -> int:
             reg = obs_metrics.active()
             if reg is None:
                 return
-            t = loop.t if sharded else loop.session.t
-            frame = render_watch(reg.snapshot(), title=f"serve slot {t}")
+            frame = render_watch(
+                reg.snapshot(), title=f"serve slot {loop.session.t}"
+            )
             sys.stdout.write((CLEAR_SCREEN if clear else "") + frame + "\n")
             sys.stdout.flush()
 
     with EventLog(args.events) as log:
         try:
-            if sharded:
-                report = _run_sharded_serve(
-                    args, controller, source, config, log, health, on_slot
-                )
-            else:
-                report = _run_single_serve(
-                    args, controller, source, config, log, health, on_slot
-                )
+            report = _run_serve(
+                args, controller, source, config, log, health, on_slot
+            )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -667,7 +579,7 @@ def _cmd_serve(args) -> int:
     return 0 if report.summary["unserved"] == 0 and report.error is None else 1
 
 
-def _run_single_serve(args, controller, source, config, log, health, on_slot):
+def _run_serve(args, controller, source, config, log, health, on_slot):
     from repro.serve import ServeLoop
 
     if args.resume and args.checkpoint and Path(args.checkpoint).exists():
@@ -680,33 +592,6 @@ def _run_single_serve(args, controller, source, config, log, health, on_slot):
         loop = ServeLoop(
             controller, source, config=config, event_log=log,
             health=health, on_slot=on_slot,
-        )
-    return loop.run()
-
-
-def _run_sharded_serve(args, controller, source, config, log, health, on_slot):
-    from repro.shard import ShardedServeLoop
-
-    if args.resume and args.checkpoint and Path(args.checkpoint).exists():
-        loop = ShardedServeLoop.resume(
-            controller, source, args.checkpoint, config=config,
-            event_log=log, health=health, on_slot=on_slot,
-        )
-        print(
-            f"resumed sharded run from {args.checkpoint} at slot {loop.t} "
-            f"({loop.plan.n_shards} shards, {loop.plan.policy})"
-        )
-    else:
-        loop = ShardedServeLoop(
-            controller, source, config=config, event_log=log,
-            health=health, on_slot=on_slot,
-        )
-        print(
-            f"sharded serve: {loop.plan.n_shards} shards ({loop.plan.policy}); "
-            "assignments "
-            + "; ".join(
-                f"{k}:{list(a)}" for k, a in enumerate(loop.plan.assignments)
-            )
         )
     return loop.run()
 
@@ -763,17 +648,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_shard(args) -> int:
-    """``repro shard status DIR``."""
-    from repro.shard import render_shard_status
-
-    if not Path(args.dir).is_dir():
-        print(f"no telemetry directory at {args.dir}", file=sys.stderr)
-        return 1
-    print(render_shard_status(args.dir))
-    return 0
-
-
 def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     """Route a parsed command line to its command handler."""
     if args.command is None:
@@ -781,8 +655,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         return 2
     if args.command == "scenario":
         return _cmd_scenario(args)
-    if args.command == "shard":
-        return _cmd_shard(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "telemetry":

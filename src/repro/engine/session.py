@@ -385,16 +385,6 @@ class SolveSession:
         """Per-step statistics for the steps taken so far."""
         return RunStats(list(self._step_stats))
 
-    @property
-    def last_step_stats(self) -> "StepStats | None":
-        """The latest step's statistics (``None`` before the first step).
-
-        The sharded serve runtime reads it after every slot to ship the
-        shard's solver work to the coordinator, which folds the
-        per-shard entries into the merged report's ``run_stats``.
-        """
-        return self._step_stats[-1] if self._step_stats else None
-
     def trajectory(self) -> Any:
         """Assemble the steps taken so far into a trajectory.
 

@@ -93,28 +93,8 @@ def render_serve_events(events: "list[dict]") -> str:
         ),
         None,
     )
-    start = next(
-        (
-            event
-            for event in events
-            if event.get("event") in ("serve_start", "serve_resume")
-        ),
-        {},
-    )
-    shard_rows = []
-    if start.get("shards"):
-        shard_rows.append(("shards", start["shards"]))
-        shard_rows.append(("partition", start.get("partition", "?")))
-        for k, assignment in enumerate(start.get("assignments", [])):
-            shard_rows.append((f"shard {k} tier-1 clouds", str(assignment)))
-        downs = sum(1 for e in events if e.get("event") == "shard_down")
-        restarts = sum(1 for e in events if e.get("event") == "shard_restart")
-        if downs or restarts:
-            shard_rows.append(("shard deaths", downs))
-            shard_rows.append(("shard restarts", restarts))
     summary_rows = [
         *([("solver backend", backend)] if backend else []),
-        *shard_rows,
         ("slots", summary["slots"]),
         ("served", summary["slots"] - summary["unserved"]),
         ("unserved", summary["unserved"]),

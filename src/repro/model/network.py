@@ -270,3 +270,34 @@ def complete_bipartite_network(
         for j in range(len(tier1))
     ]
     return CloudNetwork(tier2, tier1, edges)
+
+
+def sla_components(
+    n_tier2: int, n_tier1: int, edge_i: np.ndarray, edge_j: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Connected components of the bipartite (tier-2, tier-1) SLA graph.
+
+    Union-find over ``n_tier2 + n_tier1`` nodes (tier-2 cloud ``i`` is
+    node ``i``, tier-1 cloud ``j`` is node ``n_tier2 + j``) with one
+    union per SLA edge ``(edge_i[e], edge_j[e])``, in edge order.
+    Returns ``(root_i, root_j)``: the root node of every tier-2 and
+    every tier-1 cloud's component.  Equal roots mean one component,
+    and for a given edge list the roots are fixed, so ascending roots
+    enumerate the components in a reproducible order.  A tier-2 cloud
+    without SLA edges is a component of its own.
+    """
+    parent = list(range(n_tier2 + n_tier1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in zip(np.asarray(edge_i).tolist(), np.asarray(edge_j).tolist()):
+        ra, rb = find(i), find(n_tier2 + j)
+        if ra != rb:
+            parent[ra] = rb
+    root_i = np.array([find(i) for i in range(n_tier2)], dtype=np.intp)
+    root_j = np.array([find(n_tier2 + j) for j in range(n_tier1)], dtype=np.intp)
+    return root_i, root_j

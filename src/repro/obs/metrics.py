@@ -347,32 +347,6 @@ class MetricsRegistry:
         return describe_snapshot(self.snapshot())
 
 
-class LabeledRegistry(MetricsRegistry):
-    """A registry that stamps constant labels onto every instrument.
-
-    The sharded serve runtime runs one of these per worker process
-    (``shard=<k>``): every counter/gauge/histogram any layer publishes
-    — solver backends, the engine, the serve loop, the cache — lands
-    with the shard label attached, without a single call site knowing
-    it runs inside a shard.  Merging the per-shard telemetry streams
-    then never collides with the coordinator's unlabeled global
-    families, and per-shard attribution survives aggregation.
-
-    Explicit labels win on key conflict (a caller that *does* pass
-    ``shard=...`` is being deliberate).
-    """
-
-    def __init__(self, **constant_labels) -> None:
-        super().__init__()
-        self.constant_labels = {
-            str(k): str(v) for k, v in constant_labels.items()
-        }
-
-    def _get(self, kind: str, name: str, help_: str, labels: dict, **extra):
-        merged = {**self.constant_labels, **labels}
-        return super()._get(kind, name, help_, merged, **extra)
-
-
 def registry_from_snapshot(snapshot: dict) -> MetricsRegistry:
     """Rebuild a registry whose aggregates equal ``snapshot``'s.
 

@@ -3,8 +3,8 @@
 The metrics registry (:mod:`repro.obs.metrics`) aggregates one
 process's instruments; this module streams that state *out* of the
 process and merges many processes' streams back into one registry —
-the measurement substrate for parallel sweeps (``--jobs``), the serve
-runtime, and the future sharded multi-region runtime.
+the measurement substrate for parallel sweeps (``--jobs``) and the
+serve runtime.
 
 Three pieces:
 
@@ -91,7 +91,7 @@ class TelemetrySink:
         *active* at each flush (so a sink can be created before
         :func:`repro.obs.metrics.enable`).
     label:
-        Base sink id instead of ``proc-<pid>`` (tests, named shards).
+        Base sink id instead of ``proc-<pid>`` (tests, sweep workers).
     full_every:
         Every ``full_every``-th record carries the complete snapshot
         instead of a delta, bounding how far back a tailing reader
@@ -342,7 +342,7 @@ class TelemetryAggregator:
     seen pairs are skipped, so ingestion is idempotent and
     order-independent and the merged state is a pure function of the
     record *set*.  Sink files are discovered recursively, so sweep
-    subdirectories and per-shard subtrees all land in one view.
+    subdirectories all land in one view.
     """
 
     def __init__(self, directory: "str | Path") -> None:
@@ -564,10 +564,8 @@ def render_watch(snapshot: dict, title: str = "telemetry") -> str:
 
     Three sections: per-phase serve latency (count/mean/p95), the
     operational counters (slots by path, fallbacks, backend/cache
-    ops), and the ``health_*`` / ``shard_*`` gauges (shard liveness
-    when a sharded serve streams into the directory).  Pure text —
-    the watch loops
-    repaint it with :data:`CLEAR_SCREEN`; tests render it once.
+    ops) and the ``health_*`` gauges.  Pure text — the watch loops repaint it
+    with :data:`CLEAR_SCREEN`; tests render it once.
     """
     phases: "list[tuple]" = []
     counters: "list[tuple]" = []
@@ -599,7 +597,7 @@ def render_watch(snapshot: dict, title: str = "telemetry") -> str:
             if name == "serve_slots_total":
                 slots += float(entry["value"])
             counters.append((name + _label_suffix(labels), f"{entry['value']:g}"))
-        elif entry["type"] == "gauge" and name.startswith(("health_", "shard_")):
+        elif entry["type"] == "gauge" and name.startswith("health_"):
             gauges.append((name + _label_suffix(labels), f"{entry['value']:.4g}"))
     parts = [f"== {title} ==  slots decided: {slots:g}"]
 

@@ -228,20 +228,6 @@ def disable() -> None:
     _active = None
 
 
-def forget_inherited() -> None:
-    """Drop a fork-inherited tracer without touching its file.
-
-    A forked worker shares the parent's tracer object and open file
-    handle; :func:`disable` would flush/close the parent's stream from
-    the child, interleaving spans from two processes in one file.
-    Workers (the sharded serve runtime) call this instead: the child's
-    reference is severed, the parent's stream is untouched.  Mirrors
-    :func:`repro.obs.telemetry.forget_inherited`.
-    """
-    global _active
-    _active = None
-
-
 def active() -> "Tracer | None":
     return _active
 

@@ -126,9 +126,9 @@ class Scenario:
 
     ``build(size, seed)`` materializes it; ``seed=None`` selects
     ``default_seed`` (the seed golden fingerprints are pinned at).
-    ``serveable`` marks scenarios the streaming serve runtime (and
-    ``serve --shards``) can drive — two-tier scenarios; the N-tier
-    scenario is evaluation-only.
+    ``serveable`` marks scenarios the streaming serve runtime can
+    drive — two-tier scenarios; the N-tier scenario is
+    evaluation-only.
     """
 
     name: str

@@ -27,8 +27,7 @@ size       regions x edge clouds    horizon
 All two-tier scenarios stay in the ``k = 1`` single-PoP-per-region
 regime: the SLA graph is a star forest with one component per region,
 which is exactly the class where the batched backend's closed forms
-apply and sharded serve is bitwise-identical to single-process
-(docs/SERVING.md).  Every random draw flows through
+apply (docs/SOLVER_BACKENDS.md).  Every random draw flows through
 ``np.random.default_rng(seed)`` in a fixed order, so each
 ``(name, size, seed)`` triple reproduces its golden fingerprint.
 """
@@ -285,7 +284,7 @@ register(Scenario(
         "Every edge cloud sees a sinusoidal day/night profile peaking at "
         "14:00 local time, with a per-cloud lognormal volume factor.  The "
         "steady-state baseline the other scenarios perturb; also the CI "
-        "smoke scenario (golden fingerprint + sharded-serve parity)."
+        "smoke scenario (golden fingerprint + full-size serve)."
     ),
     builder=_build_geo_diurnal,
     default_seed=11,

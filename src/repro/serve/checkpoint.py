@@ -13,9 +13,9 @@ never re-encoded.  A checkpoint at ``PATH`` is therefore two files:
   index and the number of journal records the file commits) and a
   JSON ``meta`` record: schema tag (:data:`CHECKPOINT_SCHEMA`), the
   journal's record layout, the controller name, scalar/None state
-  entries, the ``extra`` side record and the BLAS build and thread
-  count.  Its size does not depend on ``t``.  It is replaced
-  atomically (staged next to the target, then :func:`os.replace`);
+  entries and the BLAS build and thread count.  Its size does not
+  depend on ``t``.  It is replaced atomically (staged next to the
+  target, then :func:`os.replace`);
 * **the journal** ``PATH.journal`` — one fixed-size binary record per
   decided slot, in slot order (layout: :func:`record_dtype`): a
   payload length and its CRC32, then the decision ``x``, ``y``, ``s``
@@ -184,16 +184,12 @@ def save_checkpoint(
     *,
     controller_name: str = "",
     paths: "list[str] | None" = None,
-    extra: "dict | None" = None,
     journaled: int = 0,
 ) -> Path:
     """Write a session snapshot (see ``SolveSession.export_state``).
 
     ``paths`` records which serve path ("primary"/"hold"/"greedy")
     produced each decision, so a resumed run's report is complete.
-    ``extra`` is an optional JSON-serializable side record (the
-    sharded runtime stores the shard index and its tier-1 assignment
-    here, so a resume can detect a changed partition layout).
 
     ``journaled`` is the number of leading journal records this run
     has already written: only the steps after them are appended, so a
@@ -250,7 +246,6 @@ def save_checkpoint(
         "controller": controller_name,
         "ctrl_scalars": ctrl_other,
         "ctrl_none": none_keys,
-        "extra": dict(extra or {}),
         "blas": blas_info(),
     }
     arrays["commit"] = np.array([snapshot["t"], len(steps)], dtype="<i8")
@@ -324,11 +319,11 @@ def load_checkpoint(path: "str | Path") -> dict:
     """Load a checkpoint into an ``export_state``-shaped snapshot.
 
     Returns ``{"t", "steps", "step_stats", "controller", "paths",
-    "controller_name", "extra"}`` ready for
-    :meth:`~repro.engine.session.SolveSession.resume` (``extra`` is
-    the side record ``save_checkpoint`` was given).  Reads the carry
-    file, then the journal records it commits; an uncommitted journal
-    tail is truncated away.
+    "controller_name"}`` ready for
+    :meth:`~repro.engine.session.SolveSession.resume`.  Reads the
+    carry file, then the journal records it commits; an uncommitted
+    journal tail is truncated away.  Carry files written with an
+    ``extra`` meta entry (older writers) load the same way.
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
@@ -353,5 +348,4 @@ def load_checkpoint(path: "str | Path") -> dict:
         "controller": controller,
         "paths": paths,
         "controller_name": meta["controller"],
-        "extra": dict(meta["extra"]),
     }

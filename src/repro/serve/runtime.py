@@ -156,10 +156,6 @@ class ServeConfig:
         call (``None`` = until the source is exhausted).
     hold_tol:
         Coverage tolerance of the hold fallback.
-    checkpoint_extra:
-        Optional JSON-serializable side record written into every
-        checkpoint's meta (the sharded runtime records the shard
-        index and tier-1 assignment here).
     """
 
     deadline_s: "float | None" = None
@@ -169,7 +165,6 @@ class ServeConfig:
     injector: "FaultInjector | None" = None
     max_slots: "int | None" = None
     hold_tol: float = 1e-7
-    checkpoint_extra: "dict | None" = None
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and not (self.deadline_s > 0):
@@ -595,7 +590,6 @@ class ServeLoop:
             snapshot,
             controller_name=self.controller.name,
             paths=self.paths,
-            extra=cfg.checkpoint_extra,
             journaled=self._journaled,
         )
         self._journaled = len(snapshot["steps"])

@@ -72,12 +72,14 @@ class TraceCSVSource(InstanceSource):
     """Serve an hourly-CSV demand trace on the paper topology.
 
     The CSV is loaded with
-    :func:`repro.workloads.traces.load_hourly_csv`, optionally
-    truncated to ``horizon`` slots, and lifted onto the paper's
-    geographic topology via
+    :func:`repro.workloads.traces.load_hourly_csv` and lifted onto the
+    paper's geographic topology via
     :func:`repro.topology.build_paper_instance` (replication across
     tier-1 clouds, k-nearest SLA edges, peak-provisioned capacities,
-    electricity/bandwidth prices).
+    electricity/bandwidth prices).  ``horizon`` keeps the first slots
+    of that instance: the network is always derived from the whole
+    trace, so a bounded run and a later resume over the full trace
+    serve the same network.
     """
 
     def __init__(
@@ -95,8 +97,6 @@ class TraceCSVSource(InstanceSource):
         from repro.workloads.traces import load_hourly_csv
 
         trace = load_hourly_csv(path, column=column)
-        if horizon is not None:
-            trace = trace[:horizon]
         # A peak-provisioned topology needs strictly positive demand
         # peaks; an all-zero trace cannot define capacities.
         if float(trace.max(initial=0.0)) <= 0:
@@ -104,6 +104,13 @@ class TraceCSVSource(InstanceSource):
         instance = build_paper_instance(
             trace, k=k, n_tier2=n_tier2, n_tier1=n_tier1, seed=seed
         )
+        if horizon is not None:
+            if not 1 <= horizon <= instance.horizon:
+                raise ValueError(
+                    f"horizon must be in [1, {instance.horizon}] for trace "
+                    f"{path}, got {horizon}"
+                )
+            instance = instance.slice(0, horizon)
         super().__init__(instance)
         self.path = Path(path)
 

@@ -54,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.model.network import sla_components
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 
@@ -379,23 +380,8 @@ class BatchedNewtonBackend:
         """Partition the SLA graph and precompute block index data."""
         net = subproblem.network
         n_i, n_j = net.n_tier2, net.n_tier1
-
-        parent = list(range(n_i + n_j))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in range(net.n_edges):
-            ra, rb = find(int(net.edge_i[e])), find(n_i + int(net.edge_j[e]))
-            if ra != rb:
-                parent[ra] = rb
-
+        roots_i, roots_j = sla_components(n_i, n_j, net.edge_i, net.edge_j)
         deg_j = np.bincount(net.edge_j, minlength=n_j)
-        roots_i = np.array([find(i) for i in range(n_i)])
-        roots_j = np.array([find(n_i + j) for j in range(n_j)])
         roots_e = roots_i[net.edge_i]
 
         # A component is a closed-form star iff every tier-1 member has

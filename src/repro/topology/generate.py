@@ -25,7 +25,7 @@ Placement model (the SIGMETRICS'25 CloudRouting PoP-map shape):
   regions: each region contributes between 1 and ``pops_per_region
   // k`` connected components — exactly one when ``k ==
   pops_per_region`` (in particular the corpus's single-PoP regions).
-  This is the structure the sharded serve runtime partitions along.
+  This is the structure the batched solver backend splits P2(t) along.
 
 Everything is a pure function of :class:`GeoTopologyConfig` (the seed
 included): two calls with equal configs produce bitwise-identical
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.model.instance import Instance
-from repro.model.network import Cloud, CloudNetwork, SLAEdge
+from repro.model.network import Cloud, CloudNetwork, SLAEdge, sla_components
 from repro.pricing.bandwidth import bandwidth_price
 from repro.pricing.electricity import ElectricityPriceModel
 from repro.topology.capacity import provision_capacities
@@ -70,8 +70,7 @@ class GeoTopologyConfig:
     ----------
     n_regions:
         Metro regions; with ``regional_sla`` and ``k ==
-        pops_per_region`` each is one SLA component (so also the
-        sharded-serve width).
+        pops_per_region`` each is one SLA component.
     pops_per_region:
         Tier-2 PoPs per region (total tier-2 = regions x PoPs).
     tier1_per_region:
@@ -193,26 +192,18 @@ class GeneratedTopology:
     def sla_component_count(self) -> int:
         """Connected components of the SLA graph that carry tier-1 work.
 
-        Union-find over PoPs + edge clouds with one union per SLA
-        pair; PoPs no edge cloud selected are isolated and not
-        counted (they receive no allocation).  Under ``regional_sla``
-        with ``k == pops_per_region`` this equals ``n_regions``.
+        PoPs no edge cloud selected are isolated and not counted (they
+        receive no allocation).  Under ``regional_sla`` with
+        ``k == pops_per_region`` this equals ``n_regions``.
         """
-        n_i = self.n_tier2
-        parent = list(range(n_i + self.n_tier1))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for j in range(self.n_tier1):
-            for i in self.assignment[j]:
-                ra, rb = find(int(i)), find(n_i + j)
-                if ra != rb:
-                    parent[rb] = ra
-        return len({find(n_i + j) for j in range(self.n_tier1)})
+        k = self.assignment.shape[1]
+        _, roots_j = sla_components(
+            self.n_tier2,
+            self.n_tier1,
+            self.assignment.ravel(),
+            np.repeat(np.arange(self.n_tier1), k),
+        )
+        return int(np.unique(roots_j).size)
 
     # ------------------------------------------------------------------
     def build_instance(

@@ -1,16 +1,18 @@
 """Property-based tests for the continent-scale topology generator.
 
-The invariants the scenario corpus (and the sharded serve runtime)
+The invariants the scenario corpus (and the batched solver backend)
 lean on: SLA cover validity, one component per region under regional
 SLAs, capacity feasibility of built instances, and bitwise seed
 determinism.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.model.feasibility import check_instance_feasible, necessary_conditions
-from repro.shard.partition import sla_components
+from repro.model.network import sla_components
 from repro.topology.generate import GeoTopologyConfig, generate_topology
 
 @st.composite
@@ -99,12 +101,21 @@ def test_seed_determinism_is_bitwise(config):
 
 @settings(max_examples=25, deadline=None)
 @given(config=configs(), wseed=st.integers(0, 10_000))
-def test_generator_components_match_shard_partitioner(config, wseed):
-    """The generator's union-find agrees with the shard partitioner's
-    on components that carry tier-1 clouds (the partitionable units)."""
+def test_generator_components_match_built_network(config, wseed):
+    """The generator's component count equals the number of components
+    holding tier-1 clouds in the built network's SLA graph, and
+    ``sla_components`` groups the clouds exactly as scipy's connected
+    components do."""
     topo = generate_topology(config)
     rng = np.random.default_rng(wseed)
     workload = 1.0 + rng.random((2, topo.n_tier1))
-    network = topo.build_instance(workload).network
-    components = [c for c in sla_components(network) if c.tier1]
-    assert len(components) == topo.sla_component_count()
+    net = topo.build_instance(workload).network
+    root_i, root_j = sla_components(net.n_tier2, net.n_tier1, net.edge_i, net.edge_j)
+    assert np.unique(root_j).size == topo.sla_component_count()
+    n = net.n_tier2 + net.n_tier1
+    graph = sp.coo_matrix(
+        (np.ones(net.n_edges), (net.edge_i, net.n_tier2 + net.edge_j)), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    roots = np.concatenate([root_i, root_j])
+    assert np.array_equal(labels[:, None] == labels, roots[:, None] == roots)

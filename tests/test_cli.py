@@ -1,10 +1,13 @@
 """Tests for the ``python -m repro`` CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestParser:
@@ -88,6 +91,35 @@ class TestServeCommand:
         assert main(["replay", str(empty)]) == 1
         assert "no events" in capsys.readouterr().err
 
+    def test_bounded_run_then_resume_decides_like_uninterrupted(
+        self, capsys, tmp_path
+    ):
+        # The network is derived from the whole trace, so a --horizon
+        # leg and a --resume leg serve the network an uninterrupted run
+        # serves, and write byte-equal decisions.
+        trace = EXAMPLES / "data" / "hourly_24.csv"
+        base = ["serve", "--trace", str(trace), "--n-tier2", "6",
+                "--n-tier1", "12", "--k", "2", "--inject-stall", "0.3",
+                "--inject-fail", "0.2", "--inject-seed", "7"]
+        full, legs = tmp_path / "full.npy", tmp_path / "legs.npy"
+        ck = tmp_path / "run.ckpt"
+        assert main([*base, "--decisions", str(full)]) == 0
+        assert main([*base, "--horizon", "12", "--checkpoint", str(ck)]) == 0
+        capsys.readouterr()
+        assert main(
+            [*base, "--checkpoint", str(ck), "--resume", "--decisions", str(legs)]
+        ) == 0
+        assert "at slot 12" in capsys.readouterr().out
+        assert legs.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("horizon", ["0", "9"])
+    def test_horizon_outside_trace_exits_2(self, capsys, trace_csv, horizon):
+        rc = main(
+            ["serve", "--trace", str(trace_csv), "--horizon", horizon, *self.SMALL]
+        )
+        assert rc == 2
+        assert "horizon must be in [1, 8]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ms", ["0", "-250"])
     def test_nonpositive_deadline_exits_2_naming_the_flag(
         self, capsys, trace_csv, ms
@@ -97,84 +129,6 @@ class TestServeCommand:
         )
         assert rc == 2
         assert "--deadline-ms" in capsys.readouterr().err
-
-
-class TestShardedServe:
-    # k=1 on 3x6 splits into 3 SLA components; the batched backend on
-    # this topology class is the bitwise-parity regime (docs/SERVING.md).
-    SHARDABLE = ["--n-tier2", "3", "--n-tier1", "6", "--k", "1",
-                 "--backend", "batched"]
-
-    def test_sharded_decisions_byte_equal_single_process(
-        self, capsys, trace_csv, tmp_path
-    ):
-        single = tmp_path / "single.npy"
-        sharded = tmp_path / "sharded.npy"
-        base = ["serve", "--trace", str(trace_csv), *self.SHARDABLE]
-        assert main([*base, "--decisions", str(single)]) == 0
-        rc = main(
-            [*base, "--shards", "3", "--kill-shard", "1:2",
-             "--decisions", str(sharded)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "8 slots (8 served, 0 unserved)" in out
-        assert single.read_bytes() == sharded.read_bytes()
-
-    def test_sharded_prometheus_parity_projection_byte_equal(
-        self, capsys, trace_csv, tmp_path
-    ):
-        from repro.shard import parity_text_from_prometheus
-
-        base = ["serve", "--trace", str(trace_csv), *self.SHARDABLE]
-        assert main([*base, "--metrics", str(tmp_path / "single.prom")]) == 0
-        assert main(
-            [*base, "--shards", "3", "--metrics", str(tmp_path / "sharded.prom")]
-        ) == 0
-        single = parity_text_from_prometheus(tmp_path / "single.prom")
-        sharded = parity_text_from_prometheus(tmp_path / "sharded.prom")
-        assert single == sharded
-        assert "serve_slots_total" in single
-
-    def test_serve_prints_shard_plan(self, capsys, trace_csv):
-        assert main(
-            ["serve", "--trace", str(trace_csv), "--horizon", "2",
-             "--shards", "2", "--partition", "affinity", *self.SHARDABLE]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 shards (affinity)" in out
-        assert "0:[3, 5]" in out and "1:[0, 1, 2, 4]" in out
-
-    def test_too_many_shards_exits_2_with_guidance(self, capsys, trace_csv):
-        rc = main(
-            ["serve", "--trace", str(trace_csv), "--shards", "5", *self.SHARDABLE]
-        )
-        assert rc == 2
-        assert "SLA component" in capsys.readouterr().err
-
-    def test_malformed_kill_shard_exits_2(self, capsys, trace_csv):
-        rc = main(
-            ["serve", "--trace", str(trace_csv), "--shards", "2",
-             "--kill-shard", "nope", *self.SHARDABLE]
-        )
-        assert rc == 2
-        assert "--kill-shard" in capsys.readouterr().err
-
-    def test_shard_status_command(self, capsys, trace_csv, tmp_path):
-        tele = tmp_path / "tele"
-        assert main(
-            ["serve", "--trace", str(trace_csv), "--horizon", "4",
-             "--shards", "2", "--telemetry", str(tele), *self.SHARDABLE]
-        ) == 0
-        capsys.readouterr()
-        assert main(["shard", "status", str(tele)]) == 0
-        out = capsys.readouterr().out
-        assert "shard status" in out
-        assert "shard-0" in out and "shard-1" in out
-
-    def test_shard_status_missing_dir_fails(self, capsys, tmp_path):
-        assert main(["shard", "status", str(tmp_path / "nope")]) == 1
-        assert "telemetry" in capsys.readouterr().err
 
 
 class TestMetricsFlag:

@@ -70,7 +70,7 @@ class TestBuiltScenarios:
 
     @pytest.mark.parametrize("name", [s.name for s in TWO_TIER])
     def test_one_sla_component_per_region(self, name):
-        """The sharded runtime partitions along SLA components; the
+        """The batched backend splits P2(t) along SLA components; the
         generated corpus guarantees one per region."""
         built = SMOKES[name]
         assert built.topology.sla_component_count() == built.topology.n_regions
@@ -237,31 +237,6 @@ class TestFullScale:
         assert built.instance.network.n_tier1 >= 200
         assert necessary_conditions(built.instance).ok
         assert check_instance_feasible(built.instance).ok
-
-    def test_full_scale_sharded_serve_parity(self):
-        from repro.core import RegularizedOnline, SubproblemConfig
-        from repro.serve import InstanceSource, ServeConfig, ServeLoop
-        from repro.shard import ShardedServeConfig, ShardedServeLoop
-
-        built = get_scenario("geo-diurnal").build("full")
-        instance = built.instance.slice(0, 6)
-
-        def controller():
-            return RegularizedOnline(
-                SubproblemConfig(epsilon=1e-2, backend="batched")
-            )
-
-        single = ServeLoop(
-            controller(), InstanceSource(instance), ServeConfig()
-        ).run()
-        sharded = ShardedServeLoop(
-            controller(), InstanceSource(instance),
-            ShardedServeConfig(n_shards=4),
-        ).run()
-        assert sharded.error is None and single.error is None
-        assert np.array_equal(sharded.trajectory.x, single.trajectory.x)
-        assert np.array_equal(sharded.trajectory.y, single.trajectory.y)
-        assert np.array_equal(sharded.trajectory.s, single.trajectory.s)
 
     def test_full_scale_eval_without_offline(self):
         rows = evaluate(

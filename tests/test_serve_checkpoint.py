@@ -394,3 +394,47 @@ class TestJournal:
         assert [s.to_dict() for s in loaded["step_stats"]] == [
             s.to_dict() for s in session._step_stats
         ]
+
+    def test_one_shot_save_writes_a_whole_journal_and_names_damage(
+        self, network, instance, tmp_path
+    ):
+        # A snapshot saved outside a serve loop (journaled=0) is a carry
+        # file plus a whole journal that reads back bitwise; a damaged
+        # record is named on load.
+        from repro.engine import SlotData
+
+        path = tmp_path / "ck.npz"
+        session = SolveSession(RegularizedOnline(EPS), network)
+        for t in range(3):
+            session.step(SlotData.from_instance(instance, t))
+        save_checkpoint(path, session.export_state())
+        journal = journal_path(path)
+        assert journal.stat().st_size > 0
+        loaded = load_checkpoint(path)
+        for a, b in zip(loaded["steps"], session._steps, strict=True):
+            for name in ("x", "y", "s"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        damaged = bytearray(journal.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        journal.write_bytes(bytes(damaged))
+        with pytest.raises(ValueError, match="record 1 is corrupt"):
+            load_checkpoint(path)
+
+    def test_carry_with_an_extra_meta_entry_still_resumes_bitwise(
+        self, instance, injector, uninterrupted, tmp_path
+    ):
+        # Earlier writers stored an ``extra`` side record in the carry
+        # file's meta; such a checkpoint loads and resumes unchanged.
+        import json
+
+        path = tmp_path / "ck.npz"
+        _serve(instance, injector, path, 3)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["extra"] = {"shard": 0, "tier1": [0, 1]}
+        arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert load_checkpoint(path)["t"] == 3
+        _assert_resumes_bitwise(instance, injector, uninterrupted, path)
