@@ -11,11 +11,27 @@ classic path following (Boyd & Vandenberghe, ch. 11): minimize
 
 by damped Newton steps for increasing :math:`\\tau`.  Because the
 objective Hessian is diagonal, each Newton system is
-``diag(h) + A^T D A`` with ``D`` diagonal.  At the problem sizes this
-library solves thousands of times (n in the low hundreds) dense BLAS
-beats sparse kernels by an order of magnitude, so the constraint
-matrix is densified up to a size threshold (hpc guide: measured, not
-guessed; see ``benchmarks/test_ablation_solvers.py``).
+``H = diag(h) + A^T D A`` with ``D`` diagonal.  It is solved one of two
+ways, chosen per program:
+
+* **Structured** (:class:`_BlockSystem`), for a program that declares
+  variable ``blocks`` and has at least ``_STRUCTURED_MIN_VARS``
+  variables.  Rows whose support lies inside one block and ``diag(h)``
+  form a block-diagonal ``B``, factored by one batched Cholesky; the
+  remaining rows are a low-rank term ``U D_G U^T`` applied through the
+  Woodbury capacitance system (size = number of such rows), followed
+  by one step of iterative refinement.  The regularized subproblem
+  P2(t) declares one block per tier-1 cloud: on the paper topology at
+  k=2 this replaces a dense 210x210 factorization per step by 48
+  Cholesky factorizations of 4x4 blocks and one of 36x36.
+* **Dense**: ``A^T D A`` formed by one GEMM and factored by LAPACK
+  ``potrf``.  At the sizes this library solves thousands of times (n in
+  the low hundreds) dense BLAS beats sparse kernels by an order of
+  magnitude, so the constraint matrix is densified up to a size
+  threshold (measured, not guessed; see
+  ``benchmarks/test_ablation_solvers.py``); beyond it a sparse
+  factorization is used.  It is also the fallback for a single
+  structured step whose block or capacitance matrix Cholesky rejects.
 
 Hot-path structure (measured in ``benchmarks/perf/``): the barrier
 workspace is built once per program and cached on it — it precomputes
@@ -33,7 +49,11 @@ per-trial cost.
 Numerical policy: the duality-gap stopping rule is *relative* to the
 objective magnitude and the centering tolerance scales with ``tau`` —
 chasing an absolute ``1e-8`` gap pushes ``tau`` beyond what double
-precision supports and stalls Newton.
+precision supports and stalls Newton.  For the same reason centering
+also stops once the decrease a Newton step predicts is below the
+rounding of ``phi`` itself: past that point the Armijo test can only
+accept noise, and the loop used to spend up to ``max_newton`` steps of
+~15 backtracks each without moving.
 """
 
 from __future__ import annotations
@@ -55,6 +75,15 @@ from repro.solvers.convex import (
 )
 
 _DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
+# A program that declares variable blocks takes the structured Newton
+# solve (block Cholesky + low-rank capacitance + one refinement step)
+# only from this many variables up; below it the fixed per-step cost of
+# the batched block factorization outweighs the dense O(n^3) it
+# replaces.  Whole Newton step, paper topology, 2-vCPU host, 1 BLAS thread,
+# structured vs dense: 3x5 k=1 (n=13) 0.15 vs 0.05 ms; 6x12 k=2 (n=54)
+# 0.17 vs 0.08 ms; 18x48 k=1 (n=114) 0.24 vs 0.26 ms; 18x48 k=2 (n=210)
+# 0.40 vs 0.98 ms; 18x48 k=3 (n=306) 0.53 vs 2.4 ms.
+_STRUCTURED_MIN_VARS = 150
 # Sparse A^T D A structure reuse stores one entry per nonzero product
 # A_ki * A_kj; above this many the one-time memory cost outweighs the
 # per-iteration win and the plain sparse product is used instead.
@@ -62,6 +91,248 @@ _TRIPLE_PRODUCT_PAIRS_THRESHOLD = 5_000_000
 _MAX_BOUNDARY_FRACTION = 0.99
 _ARMIJO_ALPHA = 0.1
 _ARMIJO_BETA = 0.5
+_EPS = float(np.finfo(float).eps)
+
+
+def _row_pairs(A: sp.csr_matrix, rows: np.ndarray):
+    """Every ordered nonzero pair ``(a, b)`` within each of ``rows``.
+
+    Returns ``(owner, a, b)``: the row of each pair and the positions of
+    its two entries in ``A.indices``/``A.data``.  A row with ``L``
+    nonzeros contributes its ``L^2`` pairs, row after row, ``a`` major.
+    """
+    indptr = A.indptr
+    row_nnz = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    sq = row_nnz**2
+    owner_local = np.repeat(np.arange(rows.size), sq)
+    block_start = np.concatenate([[0], np.cumsum(sq)[:-1]]).astype(np.int64)
+    blockpos = np.arange(int(sq.sum()), dtype=np.int64) - block_start[owner_local]
+    L = row_nnz[owner_local]
+    start = indptr[rows].astype(np.int64)[owner_local]
+    return rows[owner_local], start + blockpos // L, start + blockpos % L
+
+
+def _no_clock() -> float:
+    return 0.0
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack ``(k, w, w)`` of lower-triangular matrices.
+
+    Forward substitution one row at a time across the whole stack: ``w``
+    small batched products instead of one LU per matrix
+    (``np.linalg.inv``): 50 -> 31 us for 48 blocks of width 4 on a
+    2-vCPU host.
+    """
+    X = np.zeros_like(L)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    X[:, 0, 0] = d[:, 0]
+    for i in range(1, L.shape[1]):
+        X[:, i, :i] = -(L[:, i : i + 1, :i] @ X[:, :i, :i])[:, 0, :] * d[:, i : i + 1]
+        X[:, i, i] = d[:, i]
+    return X
+
+
+class _NotSPD(Exception):
+    """A structured Newton system that Cholesky rejects; ``reason`` names
+    the failing part, and the step is taken by the dense factorization."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _BlockSystem:
+    """Newton system ``diag(h) + A^T D A`` split as block + low rank.
+
+    ``blocks`` ``(n_blocks, width)`` lists variable indices, ``-1``
+    padding a narrower block.  A row of ``A`` whose whole support lies
+    in one block is *local*; every other row is *global*.  The local
+    rows and ``diag(h)`` form the block-diagonal matrix ``B`` (a
+    variable outside every block is its own 1x1 block ``h_k``, a padded
+    slot an identity 1x1 block), and the global rows the low-rank term
+    ``U D_G U^T`` with ``U = A_G^T``, so
+
+        H = B + U D_G U^T,
+        H^{-1} g = B^{-1} g - B^{-1} U C^{-1} U^T B^{-1} g,
+        C = diag(slack_G^2) + U^T B^{-1} U   (Woodbury).
+
+    ``C`` is solved in the scaled form ``I + V^T V`` with
+    ``V = L^{-1} U diag(1/slack_G)`` (``B = L L^T``), which is ``C``
+    congruent-scaled by ``diag(1/slack_G)`` and has eigenvalues >= 1.
+    Everything that depends only on ``A`` and ``blocks`` — the row split,
+    the positions of the local rows' entry products inside ``B``, the
+    gathered ``U`` — is computed here once per program.
+    """
+
+    def __init__(self, A: sp.csr_matrix, blocks: np.ndarray) -> None:
+        m, n = A.shape
+        nb, w = blocks.shape
+        flat = blocks.ravel()
+        in_slot = flat >= 0
+        self.n, self.nb, self.w = n, nb, w
+        self.nbw = nb * w
+        # Gathers read an (n + 1)-long extension whose last entry fills
+        # the padded slots (1 on the diagonal, 0 in the right-hand side).
+        self.slot_var = np.where(in_slot, flat, n)
+        self.slot_valid = np.flatnonzero(in_slot)
+        self.block_vars = flat[in_slot]
+        var_block = np.full(n, -1, dtype=np.int64)
+        var_block[self.block_vars] = np.repeat(np.arange(nb), w)[in_slot]
+        var_pos = np.zeros(n, dtype=np.int64)
+        var_pos[self.block_vars] = np.tile(np.arange(w), nb)[in_slot]
+        self.free = np.flatnonzero(var_block < 0)
+
+        # Row split: local iff nonempty and every entry's block equals
+        # the first entry's block, which is a real block.
+        indptr, indices = A.indptr, A.indices
+        row_nnz = np.diff(indptr)
+        nonempty = row_nnz > 0
+        row_of = np.repeat(np.arange(m), row_nnz)
+        nz_block = var_block[indices]
+        first = np.full(m, -1, dtype=np.int64)
+        first[nonempty] = nz_block[indptr[:-1][nonempty]]
+        off = (nz_block != first[row_of]) | (nz_block < 0)
+        local = nonempty & (np.bincount(row_of, weights=off, minlength=m) == 0)
+        local_rows = np.flatnonzero(local)
+        self.global_rows = np.flatnonzero(~local)
+
+        # B = bincount of local entry products d_k A_ka A_kb at fixed
+        # positions of the (nb, w, w) stack, plus diag(h).
+        owner, a, b = _row_pairs(A, local_rows)
+        ca, cb = indices[a], indices[b]
+        self.pair_pos = var_block[ca] * w * w + var_pos[ca] * w + var_pos[cb]
+        self.pair_val = A.data[a] * A.data[b]
+        self.pair_owner = owner
+        self.diag_pos = (np.arange(nb)[:, None] * w * w + np.arange(w) * (w + 1)).ravel()
+
+        r = self.global_rows.size
+        self.r = r
+        AGT = A[self.global_rows].toarray().T  # (n, r)
+        self.U = np.zeros((self.nbw + self.free.size, r))
+        self.U[self.slot_valid] = AGT[self.block_vars]
+        self.U[self.nbw :] = AGT[self.free]
+        # U diag(1/slack_G) in slot layout, and V, its image under
+        # L^{-1} (blocks) and h^{-1/2} (free variables).
+        self._R = np.empty((self.U.shape[0], r))
+        self._V = np.empty_like(self._R)
+        self._ext = np.empty(n + 1)
+        self._eye_diag = np.arange(r) * (r + 1)
+        self._potrf, self._potrs = la.get_lapack_funcs(("potrf", "potrs"), (self._R,))
+
+    def solve(
+        self,
+        hdiag: np.ndarray,
+        grad: np.ndarray,
+        inv: np.ndarray,
+        inv2: np.ndarray,
+        A: np.ndarray,
+        AT: np.ndarray,
+        fact_out: "list[float] | None",
+    ) -> np.ndarray:
+        """The Newton direction ``-H^{-1} grad``; raises :class:`_NotSPD`.
+
+        ``inv``/``inv2`` are ``1/slack`` and its square, ``A``/``AT``
+        the dense constraint matrix and its transpose.  One step of
+        iterative refinement follows the Woodbury solve: when a global
+        row is nearly active its correction cancels large terms, and the
+        refinement brings the normwise backward error back to the dense
+        Cholesky's order (paper topology 18x48, k=2, along real solve
+        paths: worst 7e-9 before, 4e-11 after; dense 5e-14).
+
+        ``fact_out`` accumulates the block and capacitance Cholesky
+        factorizations and every solve with their factors.  Forming
+        ``B``, ``U diag(1/slack_G)``, the capacitance ``V^T V`` and the
+        refinement residual ``H dv`` are assembly and not timed, as on
+        the dense path, where scaling the rows of ``A`` and the GEMM
+        forming ``A^T D A`` are not timed either.
+        """
+        n, nb, w = self.n, self.nb, self.w
+        ext = self._ext
+        # (bincount of an empty index array is int: cast, no-op otherwise)
+        B = np.bincount(
+            self.pair_pos,
+            weights=self.pair_val * inv2[self.pair_owner],
+            minlength=nb * w * w,
+        ).astype(float, copy=False)
+        ext[:n] = hdiag
+        ext[n] = 1.0
+        diag = B[self.diag_pos] + ext[self.slot_var]
+        # The dense path's diagonal regularization, applied per block.
+        B[self.diag_pos] = diag + 1e-13 * (1.0 + np.abs(diag))
+        h_free = hdiag[self.free]
+        h_free = h_free + 1e-13 * (1.0 + np.abs(h_free))
+        np.multiply(self.U, inv[self.global_rows], out=self._R)
+
+        clock = time.perf_counter if fact_out is not None else _no_clock
+        timed = 0.0
+        start = clock()
+        try:
+            Linv, root, V = self._factor_blocks(B.reshape(nb, w, w), h_free)
+            timed += clock() - start
+            C = V.T @ V if V is not None else None
+            start = clock()
+            factors = (Linv, root, V, self._factor_capacitance(C))
+            neg_grad = -grad
+            dv = self._apply(factors, neg_grad)
+            timed += clock() - start
+            res = neg_grad - hdiag * dv - AT @ (inv2 * (A @ dv))
+            start = clock()
+            dv += self._apply(factors, res)
+            timed += clock() - start
+            return dv
+        finally:
+            if fact_out is not None:
+                fact_out[0] += timed
+
+    def _factor_blocks(self, B: np.ndarray, h_free: np.ndarray):
+        """Cholesky of every block; ``V = L^{-1} U diag(1/slack_G)``."""
+        nb, w, nbw, r = self.nb, self.w, self.nbw, self.r
+        try:
+            L = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            raise _NotSPD("block_not_spd") from None
+        if not h_free.min(initial=np.inf) > 0.0:
+            raise _NotSPD("block_not_spd")
+        Linv = _lower_inverse(L)
+        root = np.sqrt(h_free)
+        if not r:
+            return Linv, root, None
+        R, V = self._R, self._V
+        np.matmul(Linv, R[:nbw].reshape(nb, w, r), out=V[:nbw].reshape(nb, w, r))
+        np.divide(R[nbw:], root[:, None], out=V[nbw:])
+        return Linv, root, V
+
+    def _factor_capacitance(self, C: "np.ndarray | None"):
+        """Cholesky of ``I + V^T V`` (in place), None without global rows."""
+        if C is None:
+            return None
+        C.reshape(-1)[self._eye_diag] += 1.0
+        c, info = self._potrf(C, lower=False, overwrite_a=True, clean=False)
+        if info != 0:
+            raise _NotSPD("capacitance_not_spd")
+        return c
+
+    def _apply(self, factors, f: np.ndarray) -> np.ndarray:
+        """``H^{-1} f`` for ``H`` as factored by :meth:`solve`."""
+        Linv, root, V, c = factors
+        n, nb, w, nbw = self.n, self.nb, self.w, self.nbw
+        ext = self._ext
+        ext[:n] = f
+        ext[n] = 0.0
+        y = np.empty(self._V.shape[0])
+        np.matmul(Linv, ext[self.slot_var].reshape(nb, w, 1), out=y[:nbw].reshape(nb, w, 1))
+        np.divide(f[self.free], root, out=y[nbw:])
+        if c is not None:
+            z, info = self._potrs(c, V.T @ y, lower=False)
+            if info != 0:  # pragma: no cover - potrs only fails on bad args
+                raise ConvexSolverError(f"Cholesky solve failed (potrs info={info})")
+            y -= V @ z
+        x = np.empty(n)
+        blk = np.matmul(Linv.transpose(0, 2, 1), y[:nbw].reshape(nb, w, 1)).reshape(-1)
+        x[self.block_vars] = blk[self.slot_valid]
+        x[self.free] = y[nbw:] / root
+        return x
 
 
 class _Workspace:
@@ -111,6 +382,18 @@ class _Workspace:
         self._not_fin_lb = ~self.fin_lb
         self._not_fin_ub = ~self.fin_ub
         self._gemv_n = np.empty(n)
+        # Structured Newton solve for programs that declare blocks (see
+        # _BlockSystem); ``dense_steps`` tallies, per solve, the steps
+        # it handed to the dense factorization and why.
+        self.system = None
+        self.dense_steps: "dict[str, int]" = {}
+        if (
+            self.dense
+            and m
+            and prog.blocks is not None
+            and n >= _STRUCTURED_MIN_VARS
+        ):
+            self.system = _BlockSystem(prog.A, prog.blocks)
         if self.dense:
             self.AT = np.ascontiguousarray(self.A.T)
             self._scaled = np.empty((m, n))
@@ -140,21 +423,12 @@ class _Workspace:
         m = A.shape[0]
         if m == 0:
             return None
-        indptr, indices, data = A.indptr, A.indices, A.data
-        row_nnz = np.diff(indptr).astype(np.int64)
+        indices, data = A.indices, A.data
+        row_nnz = np.diff(A.indptr).astype(np.int64)
         n_pairs = int((row_nnz**2).sum())
         if n_pairs == 0 or n_pairs > _TRIPLE_PRODUCT_PAIRS_THRESHOLD:
             return None
-        # For constraint row k with L_k nonzeros, enumerate all L_k^2
-        # ordered (i, j) column pairs: owner[k-block] = k, and within
-        # the block position p -> (a, b) = (p // L_k, p % L_k).
-        owner = np.repeat(np.arange(m), row_nnz**2)
-        block_start = np.concatenate([[0], np.cumsum(row_nnz**2)[:-1]])
-        blockpos = np.arange(n_pairs, dtype=np.int64) - block_start[owner]
-        L = row_nnz[owner]
-        start = indptr[:-1].astype(np.int64)[owner]
-        a = start + blockpos // L
-        b = start + blockpos % L
+        owner, a, b = _row_pairs(A, np.arange(m))
         pair_i = indices[a].astype(np.int64)
         pair_j = indices[b].astype(np.int64)
         pair_val = data[a] * data[b]
@@ -283,6 +557,14 @@ class _Workspace:
                 grad += np.dot(self.AT, inv, out=self._gemv_n)
             else:
                 grad = grad + self.AT @ inv
+            if self.system is not None:
+                try:
+                    dv = self.system.solve(
+                        hdiag, grad, inv, inv2, self.A, self.AT, fact_out
+                    )
+                    return dv, float(-grad @ dv)
+                except _NotSPD as exc:
+                    self.dense_steps[exc.reason] = self.dense_steps.get(exc.reason, 0) + 1
             if self.dense:
                 np.multiply(self.A, inv2[:, None], out=self._scaled)
                 H = np.dot(self.AT, self._scaled, out=self._H)
@@ -428,6 +710,11 @@ def barrier_solve(
     newton_here = 0
     backtracks = 0
 
+    newton_system = "structured" if ws.system is not None else "dense"
+    ws.dense_steps.clear()
+    if info is not None:
+        info.newton_system = newton_system
+
     def _publish(outcome: str) -> None:
         if info is not None:
             info.backtracks += backtracks
@@ -450,8 +737,18 @@ def barrier_solve(
             ).inc(backtracks)
             reg.histogram(
                 "solver_factorization_seconds",
-                help="Newton-system assembly + factorization time per solve",
+                help=(
+                    "Newton-system factorization + back-solve time per solve "
+                    "(dense: potrf/potrs; structured: block and capacitance "
+                    "Cholesky and their solves; assembly excluded)"
+                ),
             ).observe(fact_out[0])
+            for reason, steps in ws.dense_steps.items():
+                reg.counter(
+                    "solver_newton_dense_steps_total",
+                    help="Newton steps a structured solve handed to the dense factorization",
+                    reason=reason,
+                ).inc(steps)
 
     v = None
     if v0 is not None:
@@ -464,7 +761,9 @@ def barrier_solve(
             raise ConvexSolverError("phase-I point not strictly interior")
 
     tau = options.barrier_t0
-    span = obs_tracing.span("barrier.solve", n=prog.objective.n)
+    span = obs_tracing.span(
+        "barrier.solve", n=prog.objective.n, newton_system=newton_system
+    )
     # Line-search scratch (same ops as the allocating expressions they
     # replace — ``x + step*y`` — so trial points are bitwise unchanged).
     trial_v = np.empty_like(v)
@@ -481,7 +780,12 @@ def barrier_solve(
                 newton_here += 1
                 if info is not None:
                     info.newton_iters += 1
-                if dec_sq / 2.0 <= center_tol:
+                phi0 = ws.phi(v, tau, slack=slack)
+                # Centered once the decrement target is met, or once the
+                # decrease a Newton step predicts (dec^2 / 2) is below
+                # phi's own rounding: no step could then show progress,
+                # and the Armijo test would only accept rounding noise.
+                if dec_sq / 2.0 <= max(center_tol, _EPS * abs(phi0)):
                     break
                 if has_rows:
                     if ws.dense:
@@ -491,7 +795,6 @@ def barrier_solve(
                 else:
                     Adv = slack
                 step = ws.max_step(v, dv, slack=slack, Adv=Adv)
-                phi0 = ws.phi(v, tau, slack=slack)
                 while step > 1e-14:
                     if has_rows:
                         np.multiply(Adv, step, out=trial_s)

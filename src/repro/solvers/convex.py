@@ -55,9 +55,16 @@ class SolveInfo:
     backtracks:
         Armijo line-search backtracking steps taken (barrier only).
     fact_time_s:
-        Seconds spent assembling and factorizing Newton systems
-        (barrier only; measured only while the metrics registry is
-        enabled, otherwise stays 0.0).
+        Seconds spent factorizing and back-solving Newton systems,
+        assembly excluded (barrier only; measured only while the
+        metrics registry is enabled, otherwise stays 0.0).
+    newton_system:
+        ``"structured"`` when the barrier solved its Newton systems by
+        block elimination plus a low-rank correction (the program
+        declares ``blocks`` and is large enough), ``"dense"`` when it
+        factorized ``diag(h) + A^T D A`` whole; ``""`` if the barrier
+        never ran.  A structured solve may still take single steps
+        densely (a block or the capacitance matrix not SPD).
     fallback:
         True when the requested backend failed and a fallback backend
         produced the result.
@@ -67,6 +74,7 @@ class SolveInfo:
     newton_iters: int = 0
     backtracks: int = 0
     fact_time_s: float = 0.0
+    newton_system: str = ""
     fallback: bool = False
 
 
@@ -374,7 +382,16 @@ class SolverOptions:
 
 
 class SmoothConvexProgram:
-    """``min f(v) s.t. A v <= b, lb <= v <= ub`` with separable smooth ``f``."""
+    """``min f(v) s.t. A v <= b, lb <= v <= ub`` with separable smooth ``f``.
+
+    ``blocks`` optionally declares structure the barrier's Newton solve
+    exploits: an int array ``(n_blocks, width)`` of disjoint variable
+    indices, ``-1`` padding narrower blocks.  Constraint rows whose
+    support lies inside one block then form a block-diagonal system and
+    the remaining rows a low-rank correction (see
+    :mod:`repro.solvers.barrier`).  It changes how Newton systems are
+    solved, never the program.
+    """
 
     def __init__(
         self,
@@ -383,6 +400,7 @@ class SmoothConvexProgram:
         b: "np.ndarray | None",
         lb: np.ndarray,
         ub: np.ndarray,
+        blocks: "np.ndarray | None" = None,
     ) -> None:
         self.objective = objective
         n = objective.n
@@ -399,6 +417,17 @@ class SmoothConvexProgram:
         self.ub = np.broadcast_to(np.asarray(ub, float), (n,)).copy()
         if np.any(self.lb > self.ub):
             raise ValueError("lb > ub")
+        if blocks is not None:
+            blocks = np.asarray(blocks)
+            if blocks.ndim != 2 or not np.issubdtype(blocks.dtype, np.integer):
+                raise ValueError("blocks must be a 2-D int array (n_blocks, width)")
+            used = blocks[blocks >= 0]
+            if np.any(blocks < -1) or np.any(used >= n):
+                raise ValueError("blocks index out of range")
+            if np.unique(used).size != used.size:
+                raise ValueError("blocks must not share variables")
+            blocks = blocks.astype(np.int64)
+        self.blocks = blocks
         self.last_info = SolveInfo()
         # Caches reused across solves of the same structure: the
         # phase-I interior point (valid as long as it stays strictly
@@ -415,6 +444,17 @@ class SmoothConvexProgram:
         if self.A.shape[0]:
             parts.append(float(np.max(self.A @ v - self.b)))
         return float(max(parts))
+
+    def max_step(self, v: np.ndarray, dv: np.ndarray) -> float:
+        """Largest step in ``(0, 1]`` keeping ``v + step * dv`` strictly
+        interior, for a strictly interior ``v``.
+
+        The barrier line search's ratio test: 0.99 of the distance to
+        the nearest constraint row or bound along ``dv``, capped at 1.
+        """
+        from repro.solvers.barrier import _workspace
+
+        return _workspace(self).max_step(v, dv)
 
     def solve(
         self,

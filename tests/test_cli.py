@@ -131,6 +131,32 @@ class TestServeCommand:
         assert "--deadline-ms" in capsys.readouterr().err
 
 
+class TestServeStructuredNewton:
+    """Regression: a numerically singular Newton block must route that
+    step to the dense factorization, not send the slot to a fallback."""
+
+    SMALL = ["--n-tier2", "3", "--n-tier1", "4", "--k", "2"]
+
+    @pytest.fixture
+    def six_slot_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = "\n".join(f"{h},{100 + 20 * (h % 6)}" for h in range(6))
+        path.write_text("hour,requests\n" + rows + "\n")
+        return path
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_every_slot_on_the_primary_path(
+        self, capsys, monkeypatch, six_slot_trace, forced
+    ):
+        if forced:  # the shipped shape gate keeps 3x4 on the dense path
+            import repro.solvers.barrier as barrier_mod
+
+            monkeypatch.setattr(barrier_mod, "_STRUCTURED_MIN_VARS", 0)
+        assert main(["serve", "--trace", str(six_slot_trace), *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "paths: primary=6;" in out
+        assert "0 fallbacks" in out
+
 class TestMetricsFlag:
     SMALL = TestServeCommand.SMALL
 
