@@ -1,16 +1,20 @@
 #!/usr/bin/env python
 """Solver performance microbenchmarks -> ``BENCH_solver.json``.
 
-Measures the wall-time effect of the solver performance flags
-(:class:`~repro.core.subproblem.SubproblemConfig` ``fused_kernels`` and
-``reuse_structure``) on full :class:`~repro.core.online.RegularizedOnline`
-trajectories, plus kernel-level call timings of the fused
-:class:`~repro.solvers.convex.SeparableObjective` against its per-term
-loop reference.  The two configurations are solved in the *same run* on
-the *same instance*, and the fused kernels are bitwise identical to the
-loop reference (property-tested), so both take exactly the same Newton
-path — the speedup is pure per-iteration work, not a different
-trajectory.
+Two kinds of scenario:
+
+* ``kernels`` — per-call timings of the fused
+  :class:`~repro.solvers.convex.SeparableObjective` kernels against
+  their per-term loop reference (bitwise identical, property-tested) on
+  one compiled P2(t) program.
+* ``batched`` / ``batched-k2-parity`` — full
+  :class:`~repro.core.online.RegularizedOnline` trajectories under the
+  ``--backend batched`` solver layer (component decomposition +
+  closed-form stars + batched block-diagonal Newton, see
+  docs/SOLVER_BACKENDS.md) against the ``sequential`` reference on the
+  same instance, recording the residual decision gap alongside the
+  speedup.  ``batched-k2-parity`` (full run only) pins the k=2
+  fallback case, where the two backends are bitwise identical.
 
 Usage::
 
@@ -18,32 +22,13 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_solver.py --smoke      # CI-sized
     PYTHONPATH=src python benchmarks/perf/bench_solver.py --out f.json --repeats 5
 
-Scenario scales:
+``--smoke`` runs at :meth:`ExperimentScale.tiny` (3x5 clouds, 30
+slots) with one repeat; the full run uses the repo's default laptop
+scale (6x12 clouds, 96 slots), the scale the figure experiments run at.
 
-* ``small``  — :meth:`ExperimentScale.tiny` (3x5 clouds, 30 slots);
-* ``medium`` — the repo's default laptop scale (6x12 clouds, 96 slots,
-  ``k=2``), the scale the figure experiments run at.
-
-The ``batched`` scenarios time the ``--backend batched`` solver layer
-(component decomposition + closed-form stars + batched block-diagonal
-Newton, see docs/SOLVER_BACKENDS.md) against the ``sequential``
-reference on the same instance, and record the residual decision gap
-alongside the speedup.  ``batched-k2-parity`` pins the k=2 fallback
-case, where the two backends are bitwise identical.
-
-The ``cache-cold`` / ``cache-warm`` scenarios measure the persistent
-cross-run solver cache (``--cache``, :mod:`repro.cache`): each repeat
-runs the same RegularizedOnline trajectory twice against a fresh cache
-directory — the first run (cold) populates it, the second (warm)
-replays every solve from the store.  Recorded: second-run speedup,
-warm-start hit rate (a cache hit is the warmest possible start), and
-whether the cached decisions are byte-identical to an uncached run
-(they must be: backends are deterministic and hits are exact-input).
-
-The JSON is self-describing (``schema`` key); every trajectory scenario
+The JSON is self-describing (``schema`` key); every backend scenario
 records median wall time over ``--repeats`` runs, total Newton
-iterations, solve count, and warm-start hit rate for the baseline
-(flags off) and optimized (flags on, the default) configurations, plus
+iterations, solve count, and warm-start hit rate per backend, plus
 their speedup ratio.
 """
 
@@ -61,9 +46,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-# ----------------------------------------------------------------------
-# Trajectory scenarios: flags off vs flags on, same instance, same run
-# ----------------------------------------------------------------------
 def _config_metrics(times: "list[float]", stats) -> dict:
     """Summarize one configuration's repeated runs."""
     return {
@@ -73,55 +55,6 @@ def _config_metrics(times: "list[float]", stats) -> dict:
         "solves": stats.total_solves,
         "warm_start_hit_rate": round(stats.warm_hit_rate, 4),
         "steps": stats.n_steps,
-    }
-
-
-def bench_trajectory(
-    name: str,
-    scale,
-    workload: str,
-    k: int,
-    epsilon: float,
-    repeats: int,
-) -> dict:
-    """Time RegularizedOnline with perf flags off vs on (defaults)."""
-    from repro.core.online import RegularizedOnline
-    from repro.core.subproblem import SubproblemConfig
-    from repro.evaluation.experiments import make_instance
-    from repro.evaluation.runner import run_algorithm
-
-    instance = make_instance(scale, workload, k=k)
-
-    def measure(**flags) -> dict:
-        times, stats = [], None
-        for _ in range(repeats):
-            cfg = SubproblemConfig(epsilon=epsilon, **flags)
-            result = run_algorithm("bench", RegularizedOnline(cfg), instance)
-            times.append(result.runtime)
-            stats = result.stats
-        return _config_metrics(times, stats)
-
-    baseline = measure(reuse_structure=False, fused_kernels=False)
-    optimized = measure()  # the defaults: reuse_structure=True, fused_kernels=True
-    return {
-        "name": name,
-        "kind": "trajectory",
-        "algorithm": "RegularizedOnline",
-        "workload": workload,
-        "scale": {
-            "n_tier2": scale.n_tier2,
-            "n_tier1": scale.n_tier1,
-            "horizon": scale.horizon_wiki
-            if workload == "wikipedia"
-            else scale.horizon_worldcup,
-            "k": k,
-        },
-        "epsilon": epsilon,
-        "repeats": repeats,
-        "baseline": baseline,
-        "optimized": optimized,
-        "speedup": round(baseline["wall_time_s"] / optimized["wall_time_s"], 3),
-        "same_newton_path": baseline["newton_iters"] == optimized["newton_iters"],
     }
 
 
@@ -138,8 +71,7 @@ def bench_backend(
 ) -> dict:
     """Time RegularizedOnline under the two solver backends.
 
-    Unlike the flags scenarios the two configurations take *different*
-    numerical paths (closed-form stars + batched Newton vs the coupled
+    The two configurations take *different* numerical paths (closed-form stars + batched Newton vs the coupled
     barrier), so alongside wall time the scenario records the maximum
     relative decision deviation (tier-2 totals, link allocations, total
     cost) — the equivalence contract from docs/SOLVER_BACKENDS.md.
@@ -202,110 +134,6 @@ def bench_backend(
 
 
 # ----------------------------------------------------------------------
-# Cache scenario: first run populates the store, second run replays it
-# ----------------------------------------------------------------------
-def bench_cache(
-    scale,
-    workload: str,
-    k: int,
-    epsilon: float,
-    repeats: int,
-) -> "list[dict]":
-    """Time RegularizedOnline against a fresh persistent cache.
-
-    Returns two scenario records sharing one measurement: ``cache-cold``
-    (first run on an empty store — the uncached path plus store writes)
-    and ``cache-warm`` (second run on the populated store — every solve
-    replayed, zero Newton iterations).  Decisions of both are compared
-    bitwise against an uncached reference run.
-    """
-    import shutil
-    import tempfile
-
-    from repro.cache import runtime as cache_runtime
-    from repro.core.online import RegularizedOnline
-    from repro.core.subproblem import SubproblemConfig
-    from repro.evaluation.experiments import make_instance
-    from repro.evaluation.runner import run_algorithm
-
-    instance = make_instance(scale, workload, k=k)
-
-    def one_run():
-        cfg = SubproblemConfig(epsilon=epsilon)
-        return run_algorithm("bench", RegularizedOnline(cfg), instance)
-
-    ref = one_run()  # uncached reference (decisions + wall time)
-
-    def identical(traj) -> bool:
-        return (
-            np.array_equal(traj.x, ref.trajectory.x)
-            and np.array_equal(traj.y, ref.trajectory.y)
-            and np.array_equal(traj.s, ref.trajectory.s)
-        )
-
-    cold_times, warm_times = [], []
-    cold_stats = warm_stats = None
-    all_identical = True
-    hits = misses = 0
-    for _ in range(repeats):
-        root = tempfile.mkdtemp(prefix="bench-cache-")
-        try:
-            with cache_runtime.use(root) as store:
-                cold = one_run()
-                before = store.counters.as_dict()
-                warm = one_run()
-                after = store.counters.as_dict()
-                # The warm *run*'s lookup outcomes only (the cold run
-                # is all misses by construction).
-                hits += after["hit"] - before["hit"]
-                misses += after["miss"] - before["miss"]
-            cold_times.append(cold.runtime)
-            warm_times.append(warm.runtime)
-            cold_stats, warm_stats = cold.stats, warm.stats
-            all_identical = (
-                all_identical and identical(cold.trajectory)
-                and identical(warm.trajectory)
-            )
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
-    shared = {
-        "kind": "cache",
-        "algorithm": "RegularizedOnline",
-        "workload": workload,
-        "scale": {
-            "n_tier2": scale.n_tier2,
-            "n_tier1": scale.n_tier1,
-            "horizon": scale.horizon_wiki
-            if workload == "wikipedia"
-            else scale.horizon_worldcup,
-            "k": k,
-        },
-        "epsilon": epsilon,
-        "repeats": repeats,
-        "decisions_identical_to_uncached": all_identical,
-    }
-    cold_wall = statistics.median(cold_times)
-    warm_wall = statistics.median(warm_times)
-    return [
-        {
-            "name": "cache-cold",
-            **shared,
-            **_config_metrics(cold_times, cold_stats),
-            "uncached_wall_time_s": round(ref.runtime, 4),
-            "store_overhead": round(cold_wall / max(ref.runtime, 1e-12), 3),
-        },
-        {
-            "name": "cache-warm",
-            **shared,
-            **_config_metrics(warm_times, warm_stats),
-            "second_run_speedup": round(cold_wall / max(warm_wall, 1e-12), 3),
-            "cache_hit_rate": round(hits / max(hits + misses, 1), 4),
-        },
-    ]
-
-
-# ----------------------------------------------------------------------
 # Kernel scenario: fused vs loop objective evaluations on one program
 # ----------------------------------------------------------------------
 def bench_kernels(scale, workload: str, k: int, calls: int) -> dict:
@@ -315,9 +143,7 @@ def bench_kernels(scale, workload: str, k: int, calls: int) -> dict:
     from repro.model.allocation import Allocation
 
     instance = make_instance(scale, workload, k=k)
-    sub = RegularizedSubproblem(
-        instance.network, SubproblemConfig(epsilon=1e-3, reuse_structure=False)
-    )
+    sub = RegularizedSubproblem(instance.network, SubproblemConfig(epsilon=1e-3))
     prog = sub.build(
         instance.workload[0],
         instance.tier2_price[0],
@@ -336,7 +162,6 @@ def bench_kernels(scale, workload: str, k: int, calls: int) -> dict:
 
     timings = {}
     for kernel in ("value", "grad", "hess_diag"):
-        obj.fused = True
         fused_t = per_call(getattr(obj, kernel))
         loop_t = per_call(getattr(obj, f"_{kernel}_loop"))
         timings[kernel] = {
@@ -344,7 +169,6 @@ def bench_kernels(scale, workload: str, k: int, calls: int) -> dict:
             "loop_us": round(loop_t * 1e6, 2),
             "speedup": round(loop_t / fused_t, 2),
         }
-    obj.fused = True
     return {
         "name": "kernels",
         "kind": "microbench",
@@ -359,47 +183,26 @@ def bench_kernels(scale, workload: str, k: int, calls: int) -> dict:
 def run(repeats: int, smoke: bool) -> dict:
     from repro.evaluation.scale import ExperimentScale
 
-    tiny = ExperimentScale.tiny()
+    scale = ExperimentScale.tiny() if smoke else ExperimentScale.from_env()
+    repeats = 1 if smoke else repeats
     scenarios = [
-        bench_kernels(tiny if smoke else ExperimentScale.from_env(),
-                      "wikipedia", k=2, calls=50 if smoke else 500),
-        bench_trajectory(
-            "small", tiny, "wikipedia", k=1, epsilon=1e-3,
-            repeats=1 if smoke else repeats,
+        bench_kernels(scale, "wikipedia", k=2, calls=50 if smoke else 500),
+        bench_backend(
+            "batched", scale, "wikipedia", k=1, epsilon=1e-2, repeats=repeats
         ),
     ]
-    scenarios.append(
-        bench_backend(
-            "batched", tiny if smoke else ExperimentScale.from_env(),
-            "wikipedia", k=1, epsilon=1e-2, repeats=1 if smoke else repeats,
-        )
-    )
-    # Persistent-cache scenarios: tiny at smoke, the default scale
-    # otherwise (the "repeated default-scale run" acceptance numbers).
-    scenarios.extend(
-        bench_cache(
-            tiny if smoke else ExperimentScale.from_env(),
-            "wikipedia", k=2, epsilon=1e-2, repeats=1 if smoke else repeats,
-        )
-    )
     if not smoke:
-        scenarios.append(
-            bench_trajectory(
-                "medium", ExperimentScale.from_env(), "wikipedia",
-                k=2, epsilon=1e-2, repeats=repeats,
-            )
-        )
         # k=2 parity row: one whole-graph component -> the batched
         # backend falls back to the coupled solve; speedup ~1x and the
         # decision gaps are exactly zero (bitwise fallback).
         scenarios.append(
             bench_backend(
-                "batched-k2-parity", ExperimentScale.from_env(),
-                "wikipedia", k=2, epsilon=1e-2, repeats=repeats,
+                "batched-k2-parity", scale, "wikipedia",
+                k=2, epsilon=1e-2, repeats=repeats,
             )
         )
     return {
-        "schema": "repro-bench-solver/v2",
+        "schema": "repro-bench-solver/v3",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "smoke": smoke,
         "platform": {
@@ -434,29 +237,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for sc in report["scenarios"]:
-        if sc["kind"] == "trajectory":
-            print(
-                f"{sc['name']:8s} baseline {sc['baseline']['wall_time_s']:.3f}s"
-                f" -> optimized {sc['optimized']['wall_time_s']:.3f}s"
-                f"  ({sc['speedup']:.2f}x, same Newton path:"
-                f" {sc['same_newton_path']})"
-            )
-        elif sc["kind"] == "cache":
-            if sc["name"] == "cache-cold":
-                print(
-                    f"{sc['name']:10s} first run {sc['wall_time_s']:.3f}s"
-                    f" (uncached {sc['uncached_wall_time_s']:.3f}s,"
-                    f" store overhead {sc['store_overhead']:.2f}x)"
-                )
-            else:
-                print(
-                    f"{sc['name']:10s} second run {sc['wall_time_s']:.3f}s"
-                    f"  ({sc['second_run_speedup']:.2f}x vs cold,"
-                    f" hit rate {sc['cache_hit_rate']:.0%},"
-                    f" identical decisions:"
-                    f" {sc['decisions_identical_to_uncached']})"
-                )
-        elif sc["kind"] == "backend":
+        if sc["kind"] == "backend":
             gap = sc["decision_gap"]
             print(
                 f"{sc['name']:8s} sequential {sc['sequential']['wall_time_s']:.3f}s"

@@ -76,25 +76,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="persistent solver-state cache directory: repeated runs "
-        "replay byte-identical per-slot solves instead of re-running "
-        "Newton (see docs/CACHING.md and the 'cache' subcommand)",
-    )
-    parser.add_argument(
-        "--cache-max",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evict oldest cache entries beyond N solve blobs "
-        "(default: unbounded)",
-    )
-
-
 def _add_metrics_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
@@ -167,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(run)
     _add_metrics_flag(run)
     _add_telemetry_flag(run)
-    _add_cache_flag(run)
 
     serve = sub.add_parser(
         "serve",
@@ -258,14 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(serve)
     _add_metrics_flag(serve)
     _add_telemetry_flag(serve)
-    _add_cache_flag(serve)
 
     replay = sub.add_parser(
         "replay", help="render a recorded serve event log"
     )
     replay.add_argument("events", help="JSONL event log written by 'repro serve'")
     _add_metrics_flag(replay)
-    _add_cache_flag(replay)
 
     telem = sub.add_parser(
         "telemetry",
@@ -341,15 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(scenario)
     _add_metrics_flag(scenario)
     _add_telemetry_flag(scenario)
-    _add_cache_flag(scenario)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear a solver-state cache directory"
-    )
-    cache.add_argument(
-        "action", choices=["stats", "clear"], help="what to do with the cache"
-    )
-    cache.add_argument("dir", help="cache directory (the --cache DIR of a run)")
     return parser
 
 
@@ -438,31 +407,6 @@ def _cmd_scenario(args) -> int:
         _write_decisions(args.decisions, report.trajectory)
         print(f"decisions: {args.decisions}")
     return 0 if report.summary["unserved"] == 0 and report.error is None else 1
-
-
-def _cmd_cache(args) -> int:
-    """``repro cache stats|clear DIR``."""
-    from repro.cache import SolverStateStore
-
-    root = Path(args.dir)
-    if not root.is_dir():
-        print(f"no cache directory at {root}", file=sys.stderr)
-        return 1
-    store = SolverStateStore(root)
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"cleared {removed} cached blobs from {root}")
-        return 0
-    stats = store.stats()
-    entries = stats["entries"]
-    print(f"cache {stats['root']}")
-    print(
-        f"  solve blobs: {entries['solve']}  session blobs: {entries['state']}"
-        f"  ({stats['bytes'] / 1024:.1f} KiB)"
-    )
-    cap = stats["max_entries"]
-    print(f"  max entries: {'unbounded' if cap is None else cap}")
-    return 0
 
 
 def _write_decisions(path: str, trajectory) -> None:
@@ -655,8 +599,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         return 2
     if args.command == "scenario":
         return _cmd_scenario(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args)
     if args.command == "serve":
@@ -723,37 +665,12 @@ def main(argv: "list[str] | None" = None) -> int:
     layer is enabled around the dispatch: metrics land in PATH in
     Prometheus text format, spans in ``PATH.trace.jsonl``, and a
     human-readable summary is printed after the command's own output.
-
-    ``--cache DIR`` activates the persistent solver-state cache around
-    the dispatch (see :mod:`repro.cache`); a one-line op summary is
-    printed when the command used it.
+    ``--telemetry DIR`` attaches an ambient sink under DIR that the
+    engine/serve loops flush at their own cadence (final state flushed
+    on detach); serve's ``--watch`` also needs the registry.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = getattr(args, "cache", None)
-    if cache_dir is not None:
-        from repro.cache import runtime as cache_runtime
-
-        store = cache_runtime.activate(
-            cache_dir, max_entries=getattr(args, "cache_max", None)
-        )
-        try:
-            code = _main_with_metrics(args, parser)
-        finally:
-            cache_runtime.deactivate()
-        print(f"cache {store.root}: {store.counters.describe()}")
-        return code
-    return _main_with_metrics(args, parser)
-
-
-def _main_with_metrics(args, parser: argparse.ArgumentParser) -> int:
-    """Dispatch with the observability layer wrapped around it.
-
-    The registry is enabled when any of ``--metrics``, ``--telemetry``
-    or serve's ``--watch`` needs it; ``--telemetry DIR`` additionally
-    attaches an ambient sink under DIR that the engine/serve loops
-    flush at their own cadence (final state flushed on detach).
-    """
     metrics_path = getattr(args, "metrics", None)
     telemetry_dir = getattr(args, "telemetry", None)
     watch = getattr(args, "watch", False)

@@ -44,8 +44,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from repro.cache import fingerprint as cache_fingerprint
-from repro.cache import runtime as cache_runtime
 from repro.model.allocation import Allocation
 from repro.model.network import CloudNetwork
 from repro.obs import metrics as obs_metrics
@@ -79,17 +77,6 @@ class SubproblemConfig:
         disabling them is exposed for ablation studies.
     solver:
         Options forwarded to the convex solver.
-    reuse_structure:
-        Cache the compiled convex program (constraint matrix, objective
-        arrays, barrier workspace, phase-I point) per constraint
-        structure and update only the per-slot data — right-hand side,
-        linear costs, regularizer anchors — between slots.  Disable to
-        rebuild everything every slot (the measured perf baseline, see
-        ``benchmarks/perf/``).
-    fused_kernels:
-        Use the fused objective kernels
-        (:class:`~repro.solvers.convex.SeparableObjective` with
-        ``fused=True``); disable for the per-term loop reference.
     backend:
         Name of the solver backend (see
         :mod:`repro.solvers.backends`): ``"sequential"`` (the coupled
@@ -102,8 +89,6 @@ class SubproblemConfig:
     capacity_caps: bool = True
     hedging: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
-    reuse_structure: bool = True
-    fused_kernels: bool = True
     backend: str = "sequential"
 
     def __post_init__(self) -> None:
@@ -157,19 +142,6 @@ class RegularizedSubproblem:
         # solve_reduced() dispatches every slot through it.
         self.backend = solver_backends.get_backend(config.backend)
         self._backend_handle = self.backend.compile(self)
-
-        # Persistent cross-run solve cache (repro.cache): bound at
-        # construction so a subproblem's cache membership is stable for
-        # its lifetime.  The structure fingerprint keys every solve of
-        # this (network, config) pair; it covers the backend name and
-        # all solver flags, so a shared cache directory never serves a
-        # blob produced under different semantics.
-        self.cache = cache_runtime.active()
-        self._structure_fp = (
-            None
-            if self.cache is None
-            else cache_fingerprint.structure_fingerprint(network, config)
-        )
 
     # ------------------------------------------------------------------
     # Constraint assembly
@@ -271,20 +243,17 @@ class RegularizedSubproblem:
             The previous slot's decision (edge space); its tier-2
             totals anchor the regularizers.
 
-        With ``config.reuse_structure`` (the default) programs are
-        cached per hedging keep-pattern — the only thing that changes
-        the constraint *structure* across slots — and subsequent slots
-        with the same pattern get the **same (mutated) program object**
-        with only ``b``, the linear costs, and the entropic anchors
-        rewritten.  This keeps the compiled objective arrays, the
-        barrier workspace (``A^T``, Hessian buffers, sparse symbolic
-        structure) and the cached phase-I interior point alive across
-        slots.  Callers must therefore not hold a built program across
-        a later ``build()`` call expecting it to stay frozen; set
-        ``reuse_structure=False`` for that (perf-baseline) behaviour.
+        Programs are compiled once per hedging keep-pattern — the only
+        thing that changes the constraint *structure* across slots —
+        and later slots with the same pattern get the **same (mutated)
+        program object** with only ``b``, the linear costs, and the
+        entropic anchors rewritten.  This keeps the compiled objective
+        arrays, the barrier workspace and the cached phase-I interior
+        point alive across slots.  Callers must therefore not hold a
+        built program across a later ``build()`` call expecting it to
+        stay frozen.
         """
         net = self.network
-        cfg = self.config
         n_i, n_e = net.n_tier2, net.n_edges
         workload = np.asarray(workload, dtype=float)
 
@@ -293,19 +262,13 @@ class RegularizedSubproblem:
 
         rhs_x = rhs_y = None
         keep_x = keep_y = None
-        if cfg.hedging:
+        if self.config.hedging:
             total = float(workload.sum())
             rhs_x = np.maximum(total - net.tier2_capacity, 0.0)
             keep_x = rhs_x > 0
             lam_e = workload[net.edge_j]
             rhs_y = np.maximum(lam_e - net.edge_capacity, 0.0)
             keep_y = rhs_y > 0
-
-        if not cfg.reuse_structure:
-            return self._assemble(
-                workload, tier2_price, link_price, X_prev, y_prev,
-                rhs_x, keep_x, rhs_y, keep_y,
-            )
 
         key = (
             keep_x.tobytes() if keep_x is not None else b"",
@@ -373,9 +336,7 @@ class RegularizedSubproblem:
                 ref=y_prev,
             ),
         ]
-        objective = SeparableObjective(
-            self.n_vars, linear, entropic, fused=cfg.fused_kernels
-        )
+        objective = SeparableObjective(self.n_vars, linear, entropic)
 
         A_parts = [self._A_static["s_le_y"], self._A_static["coverage"],
                    self._A_static["s_le_X"]]
@@ -494,47 +455,8 @@ class RegularizedSubproblem:
         :class:`~repro.engine.stats.StatsProbe`-shaped recorder (any
         object with ``record_solve``); when given, the solve's backend,
         Newton iteration count and warm-start outcome are recorded.
-
-        With a persistent cache active (``--cache DIR``;
-        :mod:`repro.cache`) the solve is memoized on its *exact*
-        inputs: a hit replays the stored decision — byte-identical to
-        re-solving, because backends are deterministic — with zero
-        Newton iterations, and a miss stores the freshly solved result
-        for later runs.  A cache hit is recorded as a warm-start hit
-        (it is the warmest possible start: the optimum itself).
         """
-        cache = self.cache
-        if cache is None:
-            return self.backend.solve(
-                self._backend_handle,
-                workload,
-                tier2_price,
-                link_price,
-                previous,
-                warm,
-                probe=probe,
-            )
-        key = cache_fingerprint.solve_key(
-            self._structure_fp, workload, tier2_price, link_price, previous, warm
-        )
-        cached = cache.get_solve(key)
-        if cached is not None:
-            reg = obs_metrics.active()
-            if reg is not None:
-                reg.counter(
-                    "subproblem_warm_starts_total",
-                    help="warm-start outcomes per subproblem solve",
-                    outcome="hit",
-                ).inc()
-            if probe is not None:
-                probe.record_solve(
-                    backend="cache",
-                    newton_iters=0,
-                    warm_attempted=True,
-                    warm_used=True,
-                )
-            return cached
-        alloc, v = self.backend.solve(
+        return self.backend.solve(
             self._backend_handle,
             workload,
             tier2_price,
@@ -543,8 +465,6 @@ class RegularizedSubproblem:
             warm,
             probe=probe,
         )
-        cache.put_solve(key, alloc, v)
-        return alloc, v
 
     def _solve_reduced_coupled(
         self,

@@ -327,40 +327,6 @@ class SolveSession:
         session._probe = getattr(session.state, "probe", None)
         return session
 
-    # ------------------------------------------------------------------
-    # Persistent-cache hooks (see repro.cache; blob format is the
-    # export_state serialization, stored through repro.serve.checkpoint)
-    # ------------------------------------------------------------------
-    def save_to_cache(self, store: Any, key: str) -> None:
-        """Persist this session's :meth:`export_state` snapshot under ``key``.
-
-        ``store`` is a :class:`~repro.cache.store.SolverStateStore`;
-        the blob is a valid serve checkpoint, so a cached session can
-        equally be resumed by the serve runtime.
-        """
-        store.put_state(
-            key, self.export_state(), controller_name=self.controller.name
-        )
-
-    @classmethod
-    def resume_from_cache(
-        cls, controller: Controller, source: Any, store: Any, key: str
-    ) -> "SolveSession | None":
-        """Rebuild a session from a cached snapshot, or ``None`` on a miss.
-
-        A hit continues bitwise-identically to the session that called
-        :meth:`save_to_cache` (same contract as checkpoint resume); a
-        miss — including a corrupted blob — returns ``None`` so the
-        caller starts cold.
-        """
-        snapshot = store.get_state(key)
-        if snapshot is None:
-            return None
-        name = snapshot.get("controller_name", "")
-        if name and name != controller.name:
-            return None
-        return cls.resume(controller, source, snapshot)
-
     def run(self, instance: Any = None) -> Any:
         """Feed every slot of ``instance`` through :meth:`step`.
 

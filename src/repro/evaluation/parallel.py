@@ -27,23 +27,12 @@ should be small tuples of primitives/instances.
 * **Config travels in the payload.**  Worker processes must never
   reconstruct a :class:`~repro.core.subproblem.SubproblemConfig` from
   scattered scalars — a rebuilt config silently resets every field the
-  payload didn't carry (solver backend, kernel flags) to its default,
+  payload didn't carry (e.g. the solver backend) to its default,
   so a ``--backend batched --jobs N`` sweep would quietly run the
   sequential backend in its workers.  Point tuples therefore carry the
   fully-constructed config object (it is a plain dataclass of scalars
   and pickles cheaply); workers at most ``dataclasses.replace`` the
   swept field.
-
-* **Shared solver cache.**  When the parent has a persistent solver
-  cache active (``--cache DIR``; :mod:`repro.cache`), its directory is
-  captured into the payload and each worker re-activates a store on
-  the same directory: workers *read* blobs any prior run (or sibling
-  worker) produced, and their writes are atomic single-writer renames
-  of deterministic content, so no locking or merge step can change
-  what ends up on disk.  Each point additionally returns its cache op
-  counts and the coordinator folds them into its own store in
-  submission order — ``cache stats`` and the obs counters are
-  therefore independent of worker scheduling, exactly like ``--stats``.
 
 * **Workers publish full registries.**  When the parent has a metrics
   registry active (``--metrics``/``--telemetry``), every worker
@@ -56,9 +45,7 @@ should be small tuples of primitives/instances.
   totals (engine steps, Newton iterations, backend slots, warm-start
   hits …) therefore equal the serial run's exactly — CI asserts the
   deterministic view of a ``--jobs 2`` sweep is byte-identical to
-  serial.  Cache op counters are excluded from the telemetry merge
-  (the submission-order ``merge_counts`` fold above already lands
-  them) so they are never counted twice.
+  serial.
 """
 
 from __future__ import annotations
@@ -70,7 +57,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.cache import runtime as cache_runtime
 from repro.evaluation.runner import stats_collector
 from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry as obs_telemetry
@@ -106,16 +92,13 @@ def _run_point(
     item: Any,
     seed: "int | None",
     collect: bool,
-    cache_dir: "str | None" = None,
     telemetry_dir: "str | None" = None,
-) -> "tuple[Any, list, dict]":
+) -> "tuple[Any, list]":
     """Execute one sweep point; used both inline and in workers.
 
     Resets the (per-process) stats collector first: under the ``fork``
     start method a worker inherits the parent's already-collected
-    records, which must not be returned (and merged) twice.  The third
-    return element is the point's cache op-count delta (empty when no
-    cache is active), measured against the process-local store.
+    records, which must not be returned (and merged) twice.
     ``telemetry_dir`` is only passed to pool workers: it routes the
     point's metrics into a fresh worker registry streamed to a sink
     the coordinator aggregates (never set on the inline path, where
@@ -127,30 +110,17 @@ def _run_point(
     if collect:
         stats_collector.enable()
         stats_collector.records = []
-    store = None
-    if cache_dir is not None:
-        store = cache_runtime.active()
-        if store is None or str(store.root) != cache_dir:
-            store = cache_runtime.activate(cache_dir)
-    before = store.counters.as_dict() if store is not None else {}
     if seed is not None:
         np.random.seed(seed)
     result = fn(item)
     records = stats_collector.clear() if collect else []
-    ops: dict = {}
-    if store is not None:
-        after = store.counters.as_dict()
-        ops = {op: after[op] - before.get(op, 0) for op in after}
     if sink is not None:
         sink.flush(force=True)
-    return result, records, ops
+    return result, records
 
 
-def _worker(
-    payload: "tuple[Callable, Any, int | None, bool, str | None, str | None]",
-):
-    fn, item, seed, collect, cache_dir, telemetry_dir = payload
-    return _run_point(fn, item, seed, collect, cache_dir, telemetry_dir)
+def _worker(payload: "tuple[Callable, Any, int | None, bool, str | None]"):
+    return _run_point(*payload)
 
 
 def parallel_map(
@@ -186,18 +156,16 @@ def parallel_map(
     if len(seeds) != len(items):
         raise ValueError(f"expected {len(items)} seeds, got {len(seeds)}")
     collect = stats_collector.enabled
-    cache_dir = cache_runtime.active_dir()
     results: list = []
     if not jobs or jobs <= 1 or len(items) <= 1:
         for item, seed in zip(items, seeds):
             saved = stats_collector.records if collect else []
-            result, records, _ = _run_point(fn, item, seed, collect, cache_dir)
+            result, records = _run_point(fn, item, seed, collect)
             if collect:
                 stats_collector.records = saved
             results.append(result)
             stats_collector.merge(records)
         return results
-    parent_store = cache_runtime.active()
     parent_registry = obs_metrics.active()
     scratch = None
     telemetry_dir = None
@@ -212,34 +180,19 @@ def parallel_map(
     try:
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
             futures = [
-                pool.submit(
-                    _worker, (fn, item, seed, collect, cache_dir, telemetry_dir)
-                )
+                pool.submit(_worker, (fn, item, seed, collect, telemetry_dir))
                 for item, seed in zip(items, seeds)
             ]
             for future in futures:  # submission order == input order
-                result, records, ops = future.result()
+                result, records = future.result()
                 results.append(result)
                 stats_collector.merge(records)
-                if parent_store is not None and ops:
-                    parent_store.merge_counts(ops)
         if parent_registry is not None:
             aggregator = obs_telemetry.TelemetryAggregator(telemetry_dir)
             aggregator.poll()
-            merged = aggregator.merged_snapshot()
-            if parent_store is not None:
-                # merge_counts above already landed cache ops (in
-                # submission order); dropping them here keeps the
-                # registry totals single-counted.
-                merged = {
-                    "schema": merged["schema"],
-                    "metrics": [
-                        e
-                        for e in merged["metrics"]
-                        if e["name"] != "solver_cache_ops_total"
-                    ],
-                }
-            obs_telemetry.merge_snapshot_into(parent_registry, merged)
+            obs_telemetry.merge_snapshot_into(
+                parent_registry, aggregator.merged_snapshot()
+            )
     finally:
         if scratch is not None:
             scratch.cleanup()

@@ -155,27 +155,17 @@ def render_metrics(snapshot: dict) -> str:
 
     When the run recorded ``subproblem_warm_starts_total`` counters, a
     warm-start hit-rate summary line is appended (previously that rate
-    was only visible in the perf bench output, not under ``--metrics``);
-    likewise a ``solver_cache_ops_total`` summary when the persistent
-    solver cache (``--cache``) was active.
+    was only visible in the perf bench output, not under ``--metrics``).
     """
-    from repro.obs.export import describe_snapshot, with_derived
+    from repro.obs.export import describe_snapshot
 
-    snapshot = with_derived(snapshot)
     out = "== metrics ==\n" + describe_snapshot(snapshot)
     warm = {"hit": 0.0, "miss": 0.0, "cold": 0.0}
-    cache_ops = {"hit": 0.0, "miss": 0.0, "store": 0.0, "evict": 0.0, "corrupt": 0.0}
-    saw_cache = False
     for entry in snapshot.get("metrics", []):
         if entry.get("name") == "subproblem_warm_starts_total":
             outcome = entry.get("labels", {}).get("outcome")
             if outcome in warm:
                 warm[outcome] += float(entry.get("value", 0.0))
-        elif entry.get("name") == "solver_cache_ops_total":
-            op = entry.get("labels", {}).get("op")
-            if op in cache_ops:
-                saw_cache = True
-                cache_ops[op] += float(entry.get("value", 0.0))
     attempts = warm["hit"] + warm["miss"]
     if attempts or warm["cold"]:
         if attempts:
@@ -185,18 +175,6 @@ def render_metrics(snapshot: dict) -> str:
         out += (
             f"\n\nwarm-start hit rate: {rate}"
             f"  [cold starts: {warm['cold']:.0f}]"
-        )
-    if saw_cache:
-        lookups = cache_ops["hit"] + cache_ops["miss"]
-        rate = (
-            f"{100.0 * cache_ops['hit'] / lookups:.0f}%" if lookups else "n/a"
-        )
-        out += (
-            f"\nsolver cache: hit rate {rate} "
-            f"({cache_ops['hit']:.0f}/{lookups:.0f}), "
-            f"{cache_ops['store']:.0f} stored, "
-            f"{cache_ops['evict']:.0f} evicted, "
-            f"{cache_ops['corrupt']:.0f} corrupt"
         )
     return out
 

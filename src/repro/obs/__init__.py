@@ -35,7 +35,6 @@ from repro.obs.export import (
     load_snapshot_json,
     parse_prometheus,
     to_prometheus,
-    with_derived,
     write_prometheus,
     write_snapshot_json,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "deterministic_view",
     "TELEMETRY_SCHEMA",
     "SINK_SUFFIX",
-    "with_derived",
     "MetricsRegistry",
     "Counter",
     "Gauge",

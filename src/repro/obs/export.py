@@ -44,68 +44,16 @@ def _label_str(labels: dict, extra: "dict | None" = None) -> str:
     return "{" + inner + "}"
 
 
-def derived_entries(snapshot: dict) -> "list[dict]":
-    """Gauges computed *from* a snapshot that readers shouldn't derive.
-
-    Currently: ``solver_cache_hit_ratio`` — hits / (hits + misses) of
-    the ``solver_cache_ops_total`` counters, so dashboards read a
-    ratio instead of dividing counters.  Skipped when the snapshot has
-    no cache lookups or already carries the gauge (re-exporting an
-    already-derived snapshot must not duplicate samples).
-    """
-    present = {e["name"] for e in snapshot["metrics"]}
-    if "solver_cache_hit_ratio" in present:
-        return []
-    hits = misses = 0.0
-    for entry in snapshot["metrics"]:
-        if entry["name"] == "solver_cache_ops_total":
-            op = entry["labels"].get("op")
-            if op == "hit":
-                hits += float(entry["value"])
-            elif op == "miss":
-                misses += float(entry["value"])
-    if hits + misses == 0:
-        return []
-    return [
-        {
-            "name": "solver_cache_hit_ratio",
-            "type": "gauge",
-            "help": "Cache hits / (hits + misses), derived from "
-                    "solver_cache_ops_total.",
-            "labels": {},
-            "value": hits / (hits + misses),
-        }
-    ]
-
-
-def with_derived(snapshot: dict) -> dict:
-    """``snapshot`` plus :func:`derived_entries`, in snapshot order."""
-    extra = derived_entries(snapshot)
-    if not extra:
-        return snapshot
-    metrics = sorted(
-        list(snapshot["metrics"]) + extra,
-        key=lambda e: (
-            e["name"],
-            tuple(sorted((str(k), str(v)) for k, v in e["labels"].items())),
-        ),
-    )
-    return {"schema": snapshot["schema"], "metrics": metrics}
-
-
 def to_prometheus(snapshot: dict) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Bucket samples are cumulative (``le``-labeled) as the format
     requires, with the implicit ``+Inf`` bucket equal to ``_count``.
-    Derived gauges (:func:`derived_entries`) are appended so scrapers
-    see ratios without client-side division.
     """
     if snapshot.get("schema") != METRICS_SCHEMA:
         raise ValueError(
             f"unsupported metrics snapshot schema {snapshot.get('schema')!r}"
         )
-    snapshot = with_derived(snapshot)
     lines: "list[str]" = []
     seen_header: "set[str]" = set()
     for entry in snapshot["metrics"]:

@@ -1,7 +1,7 @@
 """Online algorithm-health monitoring: live gauges + threshold alerts.
 
 The observability layer so far measures the *system* (latencies,
-cache ops, fallbacks).  This module measures the *algorithm*, the
+fallbacks).  This module measures the *algorithm*, the
 quantities the smoothed-online-allocation literature evaluates
 controllers by — Perez-Salazar et al. judge efficiency against an
 offline benchmark, Wang et al. track reconfiguration-cost share — as
@@ -26,8 +26,6 @@ live per-slot gauges instead of post-hoc plots:
 * **tier-2 hedge-check failure rate** — the batched backend's
   ``hedge_*`` sequential fallbacks over its decided slots, read from
   the live registry.
-* **cache hit-ratio trend** — cumulative plus windowed hit ratio of
-  ``solver_cache_ops_total``.
 
 Gauges are published as ``health_*`` into the active registry, and
 declarative :class:`AlertRule` thresholds (``"competitive_ratio>1.5:3"``)
@@ -121,8 +119,7 @@ class HealthMonitor:
         Allowed deadline-miss fraction; the burn-rate gauge is the
         windowed miss rate divided by this budget.
     window:
-        Sliding-window length (slots) for the burn-rate and cache
-        hit-ratio trend gauges.
+        Sliding-window length (slots) for the burn-rate gauge.
 
     The serve loop calls :meth:`observe_slot` once per decided slot;
     all gauges are also kept in :attr:`values` so rules (and tests)
@@ -154,8 +151,6 @@ class HealthMonitor:
         self._prev_X = np.zeros(network.n_tier2)
         self._prev_y = np.zeros(network.n_edges)
         self._misses: deque = deque(maxlen=self.window)
-        self._cache_window: deque = deque(maxlen=self.window)
-        self._cache_prev = (0.0, 0.0)  # cumulative (hits, misses) last slot
 
     # ------------------------------------------------------------------
     def _slot_cost(self, slot, decision) -> "tuple[float, float]":
@@ -185,35 +180,19 @@ class HealthMonitor:
     def _registry_rates(self) -> None:
         """Gauges folded from live registry counter families."""
         reg = obs_metrics.active()
+        if reg is None:
+            return
         hedge_fail = slots = fallbacks = 0.0
-        hits = misses = 0.0
-        if reg is not None:
-            for labels, value in reg.family_values(
-                "backend_sequential_fallbacks_total"
-            ):
-                fallbacks += value
-                if str(labels.get("reason", "")).startswith("hedge_"):
-                    hedge_fail += value
-            for _, value in reg.family_values("backend_slots_total"):
-                slots += value
-            for labels, value in reg.family_values("solver_cache_ops_total"):
-                if labels.get("op") == "hit":
-                    hits = value
-                elif labels.get("op") == "miss":
-                    misses = value
+        for labels, value in reg.family_values("backend_sequential_fallbacks_total"):
+            fallbacks += value
+            if str(labels.get("reason", "")).startswith("hedge_"):
+                hedge_fail += value
+        for _, value in reg.family_values("backend_slots_total"):
+            slots += value
         if slots + fallbacks > 0:
             self.values["health_hedge_failure_rate"] = hedge_fail / (
                 slots + fallbacks
             )
-        if hits + misses > 0:
-            self.values["health_cache_hit_ratio"] = hits / (hits + misses)
-        prev_h, prev_m = self._cache_prev
-        self._cache_window.append((hits - prev_h, misses - prev_m))
-        self._cache_prev = (hits, misses)
-        wh = sum(h for h, _ in self._cache_window)
-        wm = sum(m for _, m in self._cache_window)
-        if wh + wm > 0:
-            self.values["health_cache_hit_ratio_window"] = wh / (wh + wm)
 
     # ------------------------------------------------------------------
     def observe_slot(
@@ -270,8 +249,6 @@ class HealthMonitor:
             "health_switching_share": "reconfiguration share of cumulative cost",
             "health_slo_burn_rate": "windowed deadline-miss rate / slo_target (burn > 1 overspends the budget)",
             "health_hedge_failure_rate": "batched-backend hedge-check failures per attempted slot",
-            "health_cache_hit_ratio": "cumulative solver-cache hit ratio",
-            "health_cache_hit_ratio_window": "solver-cache hit ratio over the trailing window",
         }
         for name, value in self.values.items():
             reg.gauge(name, help=help_.get(name, "")).set(value)

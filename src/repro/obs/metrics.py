@@ -319,7 +319,7 @@ class MetricsRegistry:
         """``(labels, value)`` of every scalar instrument named ``name``.
 
         A cheap read path for derived metrics (the health monitor folds
-        counter families like ``solver_cache_ops_total`` every slot)
+        counter families like ``backend_slots_total`` every slot)
         that avoids snapshotting the whole registry.  Histograms have
         no scalar value and raise.
         """

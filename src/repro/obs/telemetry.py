@@ -26,7 +26,7 @@ Three pieces:
   snapshot format — :func:`repro.obs.metrics.registry_from_snapshot`
   rebuilds the combined registry.
 * a ``repro top``-style console view (:func:`render_watch`) over any
-  snapshot — live per-phase latencies, backend/cache op counts,
+  snapshot — live per-phase latencies, backend op counts,
   fallback counts and health gauges — behind ``repro telemetry watch``
   and ``repro serve --watch``.
 
@@ -548,7 +548,6 @@ _WATCH_COUNTERS = (
     "backend_slots_total",
     "backend_fast_path_hits_total",
     "backend_sequential_fallbacks_total",
-    "solver_cache_ops_total",
 )
 
 
@@ -563,7 +562,7 @@ def render_watch(snapshot: dict, title: str = "telemetry") -> str:
     """A compact ``repro top``-style text dashboard of a snapshot.
 
     Three sections: per-phase serve latency (count/mean/p95), the
-    operational counters (slots by path, fallbacks, backend/cache
+    operational counters (slots by path, fallbacks, backend
     ops) and the ``health_*`` gauges.  Pure text — the watch loops repaint it
     with :data:`CLEAR_SCREEN`; tests render it once.
     """

@@ -51,7 +51,7 @@ from repro.solvers.blas import blas_info
 CHECKPOINT_SCHEMA = "repro-serve-ckpt/v2"
 
 #: Serve path of a journal record, by code; code 0 means "not recorded"
-#: (a session snapshot saved outside a serve loop, e.g. a cache blob).
+#: (a snapshot saved by a one-shot ``save_checkpoint`` without ``paths``).
 PATH_CODES = ("", "primary", "hold", "greedy")
 
 #: Width in bytes of a record's comma-joined backend names.

@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache import runtime as cache_runtime
 from repro.engine.session import SlotData, SolveSession
 from repro.model.allocation import Allocation
 from repro.model.network import CloudNetwork
@@ -371,7 +370,6 @@ class ServeLoop:
             source=repr(self.source),
             deadline_s=cfg.deadline_s,
             enforce=cfg.enforce if cfg.deadline_s is not None else None,
-            cache=cache_runtime.active_dir(),
             blas=blas_info(),
         )
         error: "str | None" = None

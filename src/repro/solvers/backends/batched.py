@@ -34,8 +34,8 @@ Two per-component execution paths:
 
 Structural analysis happens once in :meth:`BatchedNewtonBackend.compile`;
 per-slot variation (the hedging keep-pattern) reuses cached stacked
-structures the same way ``RegularizedSubproblem.reuse_structure``
-caches compiled coupled programs.
+structures the same way ``RegularizedSubproblem.build`` caches
+compiled coupled programs.
 
 Equivalence contract: tier-2 totals ``X``, link allocations ``y`` and
 hence every cost term agree with the sequential backend to solver
@@ -57,11 +57,12 @@ import numpy as np
 from repro.model.network import sla_components
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-
-#: Same line-search constants as the sequential barrier.
-_ARMIJO_ALPHA = 0.1
-_ARMIJO_BETA = 0.5
-_MAX_BOUNDARY_FRACTION = 0.99
+from repro.solvers.barrier import (  # same line-search/rounding constants
+    _ARMIJO_ALPHA,
+    _ARMIJO_BETA,
+    _EPS,
+    _MAX_BOUNDARY_FRACTION,
+)
 
 #: Blocks-per-batch histogram buckets (counts, not latencies).
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -292,7 +293,13 @@ def _batched_barrier(
             dv = np.linalg.solve(H, -g[..., None])[..., 0]
             iters += idx.size
             dec_sq = -(g * dv).sum(axis=1)
-            centered = dec_sq / 2.0 <= center_tol
+            phi = grp.phi(V, tau)
+            # Same stop as the coupled barrier: the decrement target, or
+            # a predicted decrease below phi's own rounding (past which
+            # Armijo would only accept noise steps until max_newton).
+            centered = dec_sq / 2.0 <= np.maximum(
+                center_tol, _EPS * np.abs(phi[idx])
+            )
             if centered.all():
                 break
             sel = np.flatnonzero(~centered)
@@ -309,7 +316,7 @@ def _batched_barrier(
                 hi_ratio = np.where(dn > 0, hi_gap / dn, np.inf)
                 step = np.minimum(step, hi_ratio.min(axis=1) * _MAX_BOUNDARY_FRACTION)
             gidx = idx[sel]
-            phi0 = grp.phi(V, tau)[gidx]
+            phi0 = phi[gidx]
             need = np.ones(sel.size, dtype=bool)
             trial = V[gidx].copy()
             for _bt in range(60):
@@ -424,7 +431,7 @@ class BatchedNewtonBackend:
         """Stacked groups for one hedging keep-pattern (cached)."""
         sub = handle.sub
         key = keep_y.tobytes() if keep_y is not None else b""
-        cached = handle.groups.get(key) if sub.config.reuse_structure else None
+        cached = handle.groups.get(key)
         if cached is not None:
             return cached
         by_shape: "dict[tuple, list[_Block]]" = {}
@@ -448,8 +455,7 @@ class BatchedNewtonBackend:
             )
             for blocks in by_shape.values()
         ]
-        if sub.config.reuse_structure:
-            handle.groups[key] = groups
+        handle.groups[key] = groups
         return groups
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ class SequentialBackend:
 
     def compile(self, subproblem: Any) -> Any:
         """The subproblem *is* the handle: its per-keep-pattern program
-        cache (``reuse_structure``) already holds all compiled state."""
+        cache already holds all compiled state."""
         return subproblem
 
     def solve(

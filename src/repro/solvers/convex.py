@@ -121,9 +121,8 @@ class SeparableObjective:
     accumulation semantics through the slow path.
 
     ``fused=False`` selects the straightforward per-term loop
-    implementation; it is the measured perf baseline
-    (``benchmarks/perf/``) and the reference the fused kernels are
-    property-tested against.
+    implementation, the reference the fused kernels are property-tested
+    (and benchmarked) against.
     """
 
     def __init__(

@@ -151,7 +151,7 @@ class TestSloBurnRate:
 
 
 class TestRegistryRates:
-    def test_hedge_failure_and_cache_ratio_from_registry(self):
+    def test_hedge_failure_rate_from_registry(self):
         with obs_metrics.use() as reg:
             reg.counter("backend_slots_total", help="", backend="batched").inc(8)
             reg.counter(
@@ -164,34 +164,10 @@ class TestRegistryRates:
                 help="",
                 reason="shape",
             ).inc(1)
-            reg.counter("solver_cache_ops_total", help="", op="hit").inc(3)
-            reg.counter("solver_cache_ops_total", help="", op="miss").inc(1)
             mon = HealthMonitor(single_edge_network())
             mon.observe_slot(0, slot(), decision())
             assert mon.values["health_hedge_failure_rate"] == pytest.approx(
                 2.0 / 11.0
-            )
-            assert mon.values["health_cache_hit_ratio"] == pytest.approx(0.75)
-            assert mon.values["health_cache_hit_ratio_window"] == pytest.approx(
-                0.75
-            )
-
-    def test_cache_window_tracks_recent_ops_only(self):
-        with obs_metrics.use() as reg:
-            hit = reg.counter("solver_cache_ops_total", help="", op="hit")
-            miss = reg.counter("solver_cache_ops_total", help="", op="miss")
-            mon = HealthMonitor(single_edge_network(), window=2)
-            miss.inc(10)
-            mon.observe_slot(0, slot(), decision())
-            assert mon.values["health_cache_hit_ratio_window"] == 0.0
-            hit.inc(10)
-            mon.observe_slot(1, slot(), decision())
-            hit.inc(10)
-            mon.observe_slot(2, slot(), decision())
-            # Window covers slots 1-2: 20 hits, 0 misses.
-            assert mon.values["health_cache_hit_ratio_window"] == 1.0
-            assert mon.values["health_cache_hit_ratio"] == pytest.approx(
-                20.0 / 30.0
             )
 
     def test_publishes_gauges_into_registry(self):

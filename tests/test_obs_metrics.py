@@ -312,49 +312,3 @@ class TestFamilyValues:
         reg.histogram("lat", help="").observe(1.0)
         with pytest.raises(ValueError, match="histogram"):
             reg.family_values("lat")
-
-
-class TestDerivedGauges:
-    def _cache_registry(self, hits=3, misses=1):
-        reg = MetricsRegistry()
-        reg.counter("solver_cache_ops_total", help="", op="hit").inc(hits)
-        reg.counter("solver_cache_ops_total", help="", op="miss").inc(misses)
-        return reg
-
-    def test_hit_ratio_derived_in_snapshot(self):
-        from repro.obs.export import with_derived
-
-        snap = with_derived(self._cache_registry().snapshot())
-        ratio = [
-            e for e in snap["metrics"] if e["name"] == "solver_cache_hit_ratio"
-        ]
-        assert ratio and ratio[0]["value"] == pytest.approx(0.75)
-        assert ratio[0]["type"] == "gauge"
-        # Entries stay sorted after the merge.
-        names = [(e["name"], tuple(sorted(e["labels"].items()))) for e in snap["metrics"]]
-        assert names == sorted(names)
-
-    def test_no_lookups_no_derived_entry(self):
-        from repro.obs.export import with_derived
-
-        reg = MetricsRegistry()
-        reg.counter("solver_cache_ops_total", help="", op="store").inc(2)
-        snap = with_derived(reg.snapshot())
-        assert not any(
-            e["name"] == "solver_cache_hit_ratio" for e in snap["metrics"]
-        )
-
-    def test_existing_gauge_not_overwritten(self):
-        from repro.obs.export import with_derived
-
-        reg = self._cache_registry()
-        reg.gauge("solver_cache_hit_ratio", help="").set(0.5)
-        snap = with_derived(reg.snapshot())
-        entries = [
-            e for e in snap["metrics"] if e["name"] == "solver_cache_hit_ratio"
-        ]
-        assert len(entries) == 1 and entries[0]["value"] == 0.5
-
-    def test_prometheus_export_includes_ratio(self):
-        samples = parse_prometheus(to_prometheus(self._cache_registry().snapshot()))
-        assert samples[("solver_cache_hit_ratio", ())] == pytest.approx(0.75)

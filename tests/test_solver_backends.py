@@ -180,6 +180,42 @@ class TestGoldenEquivalence:
         assert "batched" not in seq.run_stats.backends
 
 
+class TestBatchedCentering:
+    """The batched barrier stops centering at phi's rounding floor."""
+
+    def test_geo_k2_blocks_stop_at_rounding_floor(self, monkeypatch):
+        from repro.solvers.backends import batched
+        from repro.topology.generate import GeoTopologyConfig, generate_topology
+
+        topo = generate_topology(
+            GeoTopologyConfig(
+                n_regions=4, tier1_per_region=10, pops_per_region=2, k=2, seed=0
+            )
+        )
+        t = np.arange(24)[:, None]
+        phase = np.linspace(0.0, np.pi, topo.n_tier1)[None, :]
+        inst = topo.build_instance(10.0 * (1.5 + np.sin(2 * np.pi * t / 24 + phase)))
+        calls = []
+        phi = batched._BatchedGroup.phi
+
+        def counted_phi(grp, V, tau):
+            calls.append(tau)
+            return phi(grp, V, tau)
+
+        monkeypatch.setattr(batched._BatchedGroup, "phi", counted_phi)
+        seq, bat = run_both(inst)
+        # Four 2-PoP regions: every slot stays on batched Newton, none
+        # falls back to the coupled solve.
+        assert bat.run_stats.backends == ("batched",)
+        # Stopping only at the 1e-9 decrement target took 7,516 block
+        # Newton iterations and 28,180 phi calls here, most of them
+        # Armijo-accepted rounding noise up to max_newton; with the
+        # rounding-floor stop it takes ~4,100 and ~2,000.
+        assert bat.run_stats.total_newton_iters <= 5000
+        assert len(calls) <= 4000
+        assert_decision_identical(inst, seq, bat)
+
+
 class TestObservability:
     def test_fast_path_counters(self):
         from repro.obs import metrics
@@ -384,8 +420,8 @@ class TestParallelSweeps:
         import pickle
 
         # The worker payload must round-trip the backend through pickle.
-        config = SubproblemConfig(epsilon=1e-2, backend="batched")
+        config = SubproblemConfig(epsilon=1e-2, backend="batched", hedging=False)
         args = (ExperimentScale.tiny(), "wikipedia", 1e2, config, 1)
         restored = pickle.loads(pickle.dumps(args))
         assert restored[3].backend == "batched"
-        assert restored[3].fused_kernels == config.fused_kernels
+        assert restored[3].hedging is False
