@@ -62,11 +62,11 @@ def _registry(
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.solvers.backends import available_backends
+    from repro.core.subproblem import BACKENDS
 
     parser.add_argument(
         "--backend",
-        choices=list(available_backends()),
+        choices=list(BACKENDS),
         default="sequential",
         help="solver backend for the regularized subproblems: "
         "'sequential' solves each slot as one coupled program (the "

@@ -39,7 +39,7 @@ Constraints (all reduced to ``A v <= b`` plus box bounds):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,13 +48,17 @@ from repro.model.allocation import Allocation
 from repro.model.network import CloudNetwork
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.solvers import backends as solver_backends
+from repro.solvers.backends.batched import BatchedNewtonBackend
+from repro.solvers.barrier import _WARM_TAU0
 from repro.solvers.convex import (
     EntropicTerm,
     SeparableObjective,
     SmoothConvexProgram,
     SolverOptions,
 )
+
+#: The two ways to solve P2(t) (``SubproblemConfig.backend``).
+BACKENDS = ("sequential", "batched")
 
 
 @dataclass
@@ -78,10 +82,10 @@ class SubproblemConfig:
     solver:
         Options forwarded to the convex solver.
     backend:
-        Name of the solver backend (see
-        :mod:`repro.solvers.backends`): ``"sequential"`` (the coupled
-        reference solve, default) or ``"batched"`` (component-split
-        closed forms + batched block-diagonal Newton).
+        How P2(t) is solved: ``"sequential"`` (the coupled reference
+        solve, default) or ``"batched"`` (component-split closed forms
+        + batched block-diagonal Newton,
+        :mod:`repro.solvers.backends`).
     """
 
     epsilon: float = 1e-2
@@ -96,10 +100,13 @@ class SubproblemConfig:
             raise ValueError("epsilon must be > 0")
         if self.epsilon_prime is not None and not (self.epsilon_prime > 0):
             raise ValueError("epsilon_prime must be > 0")
-        if self.backend not in solver_backends.available_backends():
-            # Same message as get_backend, but at config-construction
-            # time (CLI parse, checkpoint restore) instead of mid-run.
-            solver_backends.get_backend(self.backend)
+        if self.backend not in BACKENDS:
+            # At config-construction time (CLI parse, checkpoint
+            # restore) instead of mid-run.
+            raise ValueError(
+                f"unknown solver backend {self.backend!r}; "
+                f"available: {', '.join(BACKENDS)}"
+            )
 
     @property
     def eps2(self) -> float:
@@ -138,10 +145,11 @@ class RegularizedSubproblem:
         # Compiled programs keyed by hedging keep-pattern; see build().
         self._slot_cache: dict[tuple[bytes, bytes], SmoothConvexProgram] = {}
 
-        # The solver backend and its compiled per-structure handle;
-        # solve_reduced() dispatches every slot through it.
-        self.backend = solver_backends.get_backend(config.backend)
-        self._backend_handle = self.backend.compile(self)
+        # The component split, analysed once; None solves every slot
+        # coupled.
+        self._batched = (
+            BatchedNewtonBackend(self) if config.backend == "batched" else None
+        )
 
     # ------------------------------------------------------------------
     # Constraint assembly
@@ -439,10 +447,9 @@ class RegularizedSubproblem:
     ) -> "tuple[Allocation, np.ndarray]":
         """Solve P2(t); also return the reduced solution vector.
 
-        Dispatches through the configured solver backend
-        (``config.backend``; :mod:`repro.solvers.backends`).  The
-        ``sequential`` default runs :meth:`_solve_reduced_coupled`
-        directly.
+        ``config.backend == "batched"`` solves through
+        :class:`~repro.solvers.backends.BatchedNewtonBackend`; the
+        ``sequential`` default runs :meth:`_solve_reduced_coupled`.
 
         ``warm`` may be the previous slot's reduced solution: decisions
         change slowly, so the barrier starts on the segment from the
@@ -456,14 +463,12 @@ class RegularizedSubproblem:
         object with ``record_solve``); when given, the solve's backend,
         Newton iteration count and warm-start outcome are recorded.
         """
-        return self.backend.solve(
-            self._backend_handle,
-            workload,
-            tier2_price,
-            link_price,
-            previous,
-            warm,
-            probe=probe,
+        if self._batched is None:
+            return self._solve_reduced_coupled(
+                workload, tier2_price, link_price, previous, warm, probe=probe
+            )
+        return self._batched.solve(
+            workload, tier2_price, link_price, previous, warm, probe=probe
         )
 
     def _solve_reduced_coupled(
@@ -477,14 +482,13 @@ class RegularizedSubproblem:
     ) -> "tuple[Allocation, np.ndarray]":
         """The reference path: one coupled barrier solve over all clouds.
 
-        This is both the ``sequential`` backend's implementation and
-        the fallback every other backend routes structurally surprising
-        slots through.
+        This is both the ``sequential`` backend and the fallback the
+        ``batched`` one routes structurally surprising slots through.
         """
         prog = self.build(workload, tier2_price, link_price, previous)
         cand = self._interior_candidate(prog, workload)
         v0 = cand
-        options = self.config.solver
+        tau0 = None
         warm_attempted = warm is not None and cand is not None
         warm_used = False
         if warm_attempted:
@@ -495,8 +499,7 @@ class RegularizedSubproblem:
             if start is not None and self._strictly_interior(prog, start):
                 v0 = start
                 warm_used = True
-                if options.backend == "barrier":
-                    options = replace(options, barrier_t0=max(options.barrier_t0, 1e3))
+                tau0 = _WARM_TAU0
         reg = obs_metrics.active()
         if reg is not None:
             outcome = (
@@ -508,7 +511,7 @@ class RegularizedSubproblem:
                 outcome=outcome,
             ).inc()
         with obs_tracing.span("subproblem.solve") as span:
-            v = prog.solve(v0=v0, options=options)
+            v = prog.solve(v0=v0, options=self.config.solver, tau0=tau0)
             span.set(
                 backend=prog.last_info.backend,
                 warm_attempted=warm_attempted,

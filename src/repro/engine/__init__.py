@@ -15,8 +15,8 @@ family:
 * :class:`SubproblemConfig` — the two-tier regularized algorithms
   (``RegularizedOnline``, the chain, RFHC/RRHC).
 * :class:`NTierConfig` — the N-tier regularized online algorithm.
-* :class:`SolverOptions` — the convex-solver backend knobs embedded in
-  both.
+* :class:`SolverOptions` — the convex-solver method (barrier or
+  trust-constr, with or without fallback) embedded in both.
 """
 
 from repro.core.subproblem import SubproblemConfig

@@ -259,19 +259,6 @@ class SolveSession:
         self.t += 1
         return decision
 
-    def rebuild(self, initial: Any = None) -> None:
-        """Replace the carried state with a freshly-built one.
-
-        Used by the serve runtime after an abandoned (timed-out) solve:
-        the abandoned worker may still be mutating the old state's
-        scratch buffers, so the session discards it and rebuilds from
-        the last applied decision.  Solver results are unchanged — the
-        compiled structures are deterministic functions of the network
-        and config — only warm-start amortization restarts.
-        """
-        self.state = self.controller.make_state(self.source, initial=initial)
-        self._probe = getattr(self.state, "probe", None)
-
     # ------------------------------------------------------------------
     # Checkpoint hooks (see repro.serve.checkpoint)
     # ------------------------------------------------------------------

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.export import text_table
+
 
 def _fmt(value) -> str:
     if isinstance(value, float) or isinstance(value, np.floating):
@@ -23,17 +25,8 @@ def _fmt(value) -> str:
 
 
 def format_table(headers: "list[str]", rows: "list[tuple]") -> str:
-    """Render an aligned plain-text table."""
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[c]) for r in cells)) if cells else len(h)
-        for c, h in enumerate(headers)
-    ]
-    def line(parts):
-        return "  ".join(p.ljust(w) for p, w in zip(parts, widths))
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in cells)
-    return "\n".join(out)
+    """Render an aligned plain-text table, numbers in short form."""
+    return text_table(headers, [[_fmt(v) for v in row] for row in rows])
 
 
 def render_run_stats(records: "list[tuple[str, object]]") -> str:

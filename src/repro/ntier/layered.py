@@ -172,10 +172,6 @@ class LayeredNetwork:
     def n_tier1(self) -> int:
         return len(self.tiers[0])
 
-    def tier_nodes(self, tier: int) -> "tuple[Cloud, ...]":
-        """Clouds of a 1-based tier number."""
-        return self.tiers[tier - 1]
-
     def node_flat_index(self, tier: int, node: int) -> int:
         """Flattened upper-node index for 1-based tier >= 2."""
         if tier < 2:

@@ -136,7 +136,8 @@ def _split_labels(label_part: str) -> "list[str]":
 # ----------------------------------------------------------------------
 # Human-readable table
 # ----------------------------------------------------------------------
-def _table(headers: "list[str]", rows: "list[tuple]") -> str:
+def text_table(headers: "list[str]", rows: "list[tuple]") -> str:
+    """Render an aligned plain-text table of ``str(cell)`` columns."""
     cells = [[str(v) for v in row] for row in rows]
     widths = [
         max(len(h), *(len(r[c]) for r in cells)) if cells else len(h)
@@ -180,10 +181,10 @@ def describe_snapshot(snapshot: dict) -> str:
             scalars.append((label, f"{entry['value']:g}"))
     parts = []
     if scalars:
-        parts.append(_table(["metric", "value"], scalars))
+        parts.append(text_table(["metric", "value"], scalars))
     if hists:
         parts.append(
-            _table(
+            text_table(
                 ["histogram", "count", "mean [ms]", "p50 [ms]", "p95 [ms]",
                  "p99 [ms]", "max [ms]"],
                 hists,

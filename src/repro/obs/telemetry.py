@@ -47,6 +47,7 @@ import time
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.export import text_table
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
@@ -599,25 +600,12 @@ def render_watch(snapshot: dict, title: str = "telemetry") -> str:
         elif entry["type"] == "gauge" and name.startswith("health_"):
             gauges.append((name + _label_suffix(labels), f"{entry['value']:.4g}"))
     parts = [f"== {title} ==  slots decided: {slots:g}"]
-
-    def table(headers: "list[str]", rows: "list[tuple]") -> str:
-        cells = [[str(v) for v in row] for row in rows]
-        widths = [
-            max(len(h), *(len(r[c]) for r in cells)) if cells else len(h)
-            for c, h in enumerate(headers)
-        ]
-        line = lambda ps: "  ".join(p.ljust(w) for p, w in zip(ps, widths))
-        return "\n".join(
-            [line(headers), line(["-" * w for w in widths])]
-            + [line(r) for r in cells]
-        )
-
     if phases:
-        parts.append(table(["latency", "count", "mean [ms]", "p95 [ms]"], phases))
+        parts.append(text_table(["latency", "count", "mean [ms]", "p95 [ms]"], phases))
     if counters:
-        parts.append(table(["counter", "value"], counters))
+        parts.append(text_table(["counter", "value"], counters))
     if gauges:
-        parts.append(table(["health gauge", "value"], gauges))
+        parts.append(text_table(["health gauge", "value"], gauges))
     if len(parts) == 1:
         parts.append("(no telemetry yet)")
     return "\n\n".join(parts)

@@ -63,11 +63,3 @@ class FaultInjector:
         if u < self.stall_prob + self.fail_prob:
             return "failure"
         return None
-
-    def maybe_raise(self, t: int) -> None:
-        """Raise the slot-``t`` fault, if any."""
-        fault = self.draw(t)
-        if fault == "stall":
-            raise SolverStall(f"injected solver stall at slot {t}")
-        if fault == "failure":
-            raise SolverFailure(f"injected solver failure at slot {t}")

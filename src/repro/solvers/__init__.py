@@ -13,10 +13,10 @@ provides the two solver layers everything else is built on:
   ``scipy.optimize.minimize(trust-constr)`` cross-check backend;
 * :mod:`repro.solvers.kkt` — first-order optimality verification used
   in tests;
-* :mod:`repro.solvers.backends` — pluggable per-slot solve strategies
-  (the coupled ``sequential`` reference and the component-decomposed
-  ``batched`` backend), selected by
-  :class:`~repro.core.subproblem.SubproblemConfig`.
+* :mod:`repro.solvers.backends` — the component-split solve of P2(t)
+  (closed-form stars, batched block Newton, coupled fallback), the
+  ``batched`` alternative to the coupled ``sequential`` solve that
+  :class:`~repro.core.subproblem.SubproblemConfig` selects.
 
 Importing the package pins numpy's and scipy's bundled OpenBLAS to one
 thread (:mod:`repro.solvers.blas`), so decisions do not depend on the

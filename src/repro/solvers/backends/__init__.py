@@ -1,28 +1,15 @@
-"""Pluggable solver backends for the per-slot subproblems.
+"""The component-split solve of the per-slot subproblems.
 
-See :mod:`repro.solvers.backends.base` for the protocol and
+:class:`~repro.core.subproblem.SubproblemConfig` picks one of two ways
+to solve P2(t) with its ``backend`` field: ``"sequential"`` (one coupled
+barrier solve, :meth:`RegularizedSubproblem._solve_reduced_coupled
+<repro.core.subproblem.RegularizedSubproblem._solve_reduced_coupled>`)
+or ``"batched"`` (:class:`BatchedNewtonBackend`).  See
 ``docs/SOLVER_BACKENDS.md`` for the design notes.
 """
 
 from __future__ import annotations
 
-from repro.solvers.backends.base import (
-    SolverBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.solvers.backends.batched import BatchedNewtonBackend
-from repro.solvers.backends.sequential import SequentialBackend
 
-register_backend("sequential", SequentialBackend)
-register_backend("batched", BatchedNewtonBackend)
-
-__all__ = [
-    "SolverBackend",
-    "SequentialBackend",
-    "BatchedNewtonBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]
+__all__ = ["BatchedNewtonBackend"]

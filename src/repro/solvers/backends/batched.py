@@ -32,10 +32,11 @@ Two per-component execution paths:
   Newton step, one shared feasible-stepsize + Armijo backtracking pass
   with per-block step lengths and convergence masks.
 
-Structural analysis happens once in :meth:`BatchedNewtonBackend.compile`;
-per-slot variation (the hedging keep-pattern) reuses cached stacked
-structures the same way ``RegularizedSubproblem.build`` caches
-compiled coupled programs.
+Structural analysis happens once, when
+:class:`~repro.core.subproblem.RegularizedSubproblem` builds the
+backend for a ``backend="batched"`` config; per-slot variation (the
+hedging keep-pattern) reuses cached stacked structures the same way
+``RegularizedSubproblem.build`` caches compiled coupled programs.
 
 Equivalence contract: tier-2 totals ``X``, link allocations ``y`` and
 hence every cost term agree with the sequential backend to solver
@@ -49,7 +50,7 @@ difference (the next slot's regularizers see only ``X`` and ``y``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,11 +58,16 @@ import numpy as np
 from repro.model.network import sla_components
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.solvers.barrier import (  # same line-search/rounding constants
+from repro.solvers.barrier import (  # same line-search/path constants
     _ARMIJO_ALPHA,
     _ARMIJO_BETA,
     _EPS,
     _MAX_BOUNDARY_FRACTION,
+    _MAX_NEWTON,
+    _TAU0,
+    _TAU_MU,
+    _TOL,
+    _WARM_TAU0,
 )
 
 #: Blocks-per-batch histogram buckets (counts, not latencies).
@@ -247,27 +253,31 @@ class _BatchedGroup:
 
 
 def _batched_barrier(
-    grp: _BatchedGroup, V0: np.ndarray, options
+    grp: _BatchedGroup, V0: np.ndarray, tau0: float
 ) -> "tuple[np.ndarray, int]":
     """Shared path-following barrier over all blocks of a group.
 
-    One tau schedule drives every block; a block drops out of the
-    working set as soon as its own duality-gap bound ``m_total / tau``
-    clears the tolerance.  Returns ``(V, total Newton iterations)``;
-    raises :class:`_BatchSolveError` if any block stalls with a large
-    remaining gap (the slot then falls back to the coupled solve).
+    One tau schedule, starting at ``tau0``, drives every block; a
+    centered block drops out of the working set as soon as its own
+    duality-gap bound ``m_total / tau`` clears the tolerance.  A block
+    that runs out of Newton steps before centering follows the path on,
+    as in the coupled barrier.  Returns ``(V, total Newton
+    iterations)``; raises :class:`_BatchSolveError` if any block stalls
+    with a large remaining gap or never centers (the slot then falls
+    back to the coupled solve).
     """
     B = V0.shape[0]
     V = V0.copy()
-    tau = options.barrier_t0
+    tau = tau0
     done = np.zeros(B, dtype=bool)
     stalled = np.zeros(B, dtype=bool)
     iters = 0
 
     for _outer in range(200):
         work = ~done
+        uncentered = np.zeros(B, dtype=bool)
         center_tol = 1e-9 * (1.0 + tau * 1e-4)
-        for _inner in range(options.max_newton):
+        for _inner in range(_MAX_NEWTON):
             idx = np.flatnonzero(work & ~stalled)
             if idx.size == 0:
                 break
@@ -339,51 +349,43 @@ def _batched_barrier(
             else:  # pragma: no cover - 60 halvings always terminates
                 stalled[gidx[need]] = True
         else:
-            stalled[work & ~stalled] = True
+            # Out of steps: the blocks not yet centered are not stalled;
+            # m/tau bounds nothing for them, so the path goes on.
+            uncentered[idx[~centered]] = True
+            uncentered &= ~stalled
 
         gap = grp.m_total / tau
         scale = 1.0 + np.abs(grp.f_value(V))
-        done |= work & (gap <= options.tol * scale)
+        done |= work & ~uncentered & (gap <= _TOL * scale)
         hard = work & stalled & ~done
         if hard.any():
-            if bool((gap <= 1e3 * options.tol * scale[hard]).all()):
+            if bool((gap <= 1e3 * _TOL * scale[hard]).all()):
                 done[hard] = True  # late-path stall, gap already tiny
             else:
                 raise _BatchSolveError(
                     f"batched Newton stalled at tau={tau:.2e} (gap {gap:.2e})"
                 )
+        if bool((gap <= _EPS * scale[uncentered]).any()):
+            raise _BatchSolveError(
+                f"batched Newton did not center by tau={tau:.2e} (gap {gap:.2e})"
+            )
         if done.all():
             return V, iters
         stalled[:] = False
-        tau *= options.barrier_mu
+        tau *= _TAU_MU
     raise _BatchSolveError("batched barrier exceeded the outer-iteration budget")
 
 
 # ----------------------------------------------------------------------
 # Backend
 # ----------------------------------------------------------------------
-@dataclass
-class _Handle:
-    """Per-structure state the batched backend precomputes."""
-
-    sub: Any
-    fast_i: np.ndarray  # (I,) tier-2 clouds in star components
-    fast_e: np.ndarray  # (E,) edges in star components
-    blocks: "list[_Block]" = field(default_factory=list)
-    groups: "dict[bytes, list[_BatchedGroup]]" = field(default_factory=dict)
-    # Static degeneracy flags: a zero regularizer weight makes the fast
-    # closed form depend on the slot's price being nonzero.
-    wX_zero: "np.ndarray | None" = None
-    wy_zero: "np.ndarray | None" = None
-
-
 class BatchedNewtonBackend:
-    """Component-decomposed solves: closed forms + batched Newton."""
+    """Component-decomposed solves of one subproblem's slots: closed
+    forms + batched Newton, falling back to its coupled solve."""
 
     name = "batched"
 
-    # ------------------------------------------------------------------
-    def compile(self, subproblem: Any) -> _Handle:
+    def __init__(self, subproblem: Any) -> None:
         """Partition the SLA graph and precompute block index data."""
         net = subproblem.network
         n_i, n_j = net.n_tier2, net.n_tier1
@@ -396,13 +398,15 @@ class BatchedNewtonBackend:
         comp_has_multi = np.zeros(n_i + n_j, dtype=bool)
         np.logical_or.at(comp_has_multi, roots_j, deg_j > 1)
         fast_root = ~comp_has_multi
-        handle = _Handle(
-            sub=subproblem,
-            fast_i=fast_root[roots_i],
-            fast_e=fast_root[roots_e],
-            wX_zero=subproblem.weight_tier2 == 0,
-            wy_zero=subproblem.weight_link == 0,
-        )
+        self.sub = subproblem
+        self.fast_i = fast_root[roots_i]  # (I,) tier-2 clouds in star components
+        self.fast_e = fast_root[roots_e]  # (E,) edges in star components
+        # Static degeneracy flags: a zero regularizer weight makes the
+        # fast closed form depend on the slot's price being nonzero.
+        self.wX_zero = subproblem.weight_tier2 == 0
+        self.wy_zero = subproblem.weight_link == 0
+        self.blocks: "list[_Block]" = []
+        self.groups: "dict[bytes, list[_BatchedGroup]]" = {}
         for root in np.unique(np.concatenate([roots_i, roots_j])):
             if fast_root[root]:
                 continue
@@ -413,7 +417,7 @@ class BatchedNewtonBackend:
             loc_i[ti] = np.arange(ti.size)
             loc_j = np.zeros(n_j, dtype=np.intp)
             loc_j[tj] = np.arange(tj.size)
-            handle.blocks.append(
+            self.blocks.append(
                 _Block(
                     ti=ti,
                     tj=tj,
@@ -422,20 +426,17 @@ class BatchedNewtonBackend:
                     e_j_loc=loc_j[net.edge_j[te]],
                 )
             )
-        return handle
 
     # ------------------------------------------------------------------
-    def _groups_for(
-        self, handle: _Handle, keep_y: "np.ndarray | None"
-    ) -> "list[_BatchedGroup]":
+    def _groups_for(self, keep_y: "np.ndarray | None") -> "list[_BatchedGroup]":
         """Stacked groups for one hedging keep-pattern (cached)."""
-        sub = handle.sub
+        sub = self.sub
         key = keep_y.tobytes() if keep_y is not None else b""
-        cached = handle.groups.get(key)
+        cached = self.groups.get(key)
         if cached is not None:
             return cached
         by_shape: "dict[tuple, list[_Block]]" = {}
-        for blk in handle.blocks:
+        for blk in self.blocks:
             ky = 0 if keep_y is None else int(np.count_nonzero(keep_y[blk.te]))
             by_shape.setdefault(blk.shape_key + (ky,), []).append(blk)
         lb, ub = sub._bounds
@@ -455,13 +456,12 @@ class BatchedNewtonBackend:
             )
             for blocks in by_shape.values()
         ]
-        handle.groups[key] = groups
+        self.groups[key] = groups
         return groups
 
     # ------------------------------------------------------------------
     def solve(
         self,
-        handle: _Handle,
         workload: np.ndarray,
         tier2_price: np.ndarray,
         link_price: np.ndarray,
@@ -469,7 +469,7 @@ class BatchedNewtonBackend:
         warm: "np.ndarray | None" = None,
         probe: Any = None,
     ) -> "tuple[Any, np.ndarray]":
-        sub = handle.sub
+        sub = self.sub
         net = sub.network
         cfg = sub.config
         lam = np.asarray(workload, dtype=float)
@@ -487,12 +487,11 @@ class BatchedNewtonBackend:
             rhs_y = np.maximum(lam_e - net.edge_capacity, 0.0)
             keep_y = rhs_y > 0
 
-        fast_i, fast_e = handle.fast_i, handle.fast_e
+        fast_i, fast_e = self.fast_i, self.fast_e
 
         def bail(reason: str):
             return self._fallback(
-                sub, workload, tier2_price, link_price, previous, warm, probe,
-                reason,
+                workload, tier2_price, link_price, previous, warm, probe, reason
             )
 
         # Structural surprises route the whole slot through the coupled
@@ -504,11 +503,11 @@ class BatchedNewtonBackend:
             return bail("hedge_y_on_star")
         if bool(np.any((lam_e >= ub_y) & fast_e)):
             return bail("star_link_at_capacity")
-        if bool(np.any(handle.wy_zero & (link_price == 0) & fast_e)):
+        if bool(np.any(self.wy_zero & (link_price == 0) & fast_e)):
             return bail("degenerate_link_objective")
-        if bool(np.any(handle.wX_zero & (tier2_price == 0) & fast_i)):
+        if bool(np.any(self.wX_zero & (tier2_price == 0) & fast_i)):
             return bail("degenerate_tier2_objective")
-        if len(handle.blocks) == 1 and not bool(fast_e.any()):
+        if len(self.blocks) == 1 and not bool(fast_e.any()):
             # The SLA graph is one non-star component: there is nothing
             # to decompose, and the coupled solve's sparse fused kernels
             # beat a dense single-block Newton.  Densely-connected
@@ -531,7 +530,7 @@ class BatchedNewtonBackend:
                             link_price,
                             sub.weight_link,
                             out=np.full(net.n_edges, np.inf),
-                            where=~handle.wy_zero,
+                            where=~self.wy_zero,
                         )
                     )
                     fX = np.exp(
@@ -539,7 +538,7 @@ class BatchedNewtonBackend:
                             tier2_price,
                             sub.weight_tier2,
                             out=np.full(net.n_tier2, np.inf),
-                            where=~handle.wX_zero,
+                            where=~self.wX_zero,
                         )
                     )
                 ybar = (y_prev + cfg.eps2) * fy - cfg.eps2
@@ -556,8 +555,8 @@ class BatchedNewtonBackend:
 
             # ---------------- batched Newton components ---------------
             batch_sizes: "list[int]" = []
-            if handle.blocks:
-                groups = self._groups_for(handle, keep_y)
+            if self.blocks:
+                groups = self._groups_for(keep_y)
                 # Interior candidate, same construction as the coupled
                 # path's warm-start heuristic, sliced per block.
                 link_sum = net.aggregate_tier1(net.edge_capacity)
@@ -569,8 +568,7 @@ class BatchedNewtonBackend:
                 y_c = 0.5 * (s_c + net.edge_capacity)
                 X_c = 0.5 * (net.aggregate_tier2(s_c) + net.tier2_capacity)
 
-                options = cfg.solver
-                warm_attempted = warm is not None and len(handle.blocks) > 0
+                warm_attempted = warm is not None
                 all_warm = warm_attempted
                 solved: "list[tuple[_BatchedGroup, np.ndarray]]" = []
                 for grp in groups:
@@ -599,13 +597,10 @@ class BatchedNewtonBackend:
                     else:
                         all_warm = False
                     solved.append((grp, V0))
-                if all_warm and options.backend == "barrier":
-                    options = replace(
-                        options, barrier_t0=max(options.barrier_t0, 1e3)
-                    )
+                tau0 = _WARM_TAU0 if all_warm else _TAU0
                 try:
                     for grp, V0 in solved:
-                        V, iters = _batched_barrier(grp, V0, options)
+                        V, iters = _batched_barrier(grp, V0, tau0)
                         newton_iters += iters
                         batch_sizes.append(len(grp.blocks))
                         nI, nE = grp.nI, grp.nE
@@ -671,7 +666,6 @@ class BatchedNewtonBackend:
     # ------------------------------------------------------------------
     def _fallback(
         self,
-        sub: Any,
         workload: np.ndarray,
         tier2_price: np.ndarray,
         link_price: np.ndarray,
@@ -689,6 +683,6 @@ class BatchedNewtonBackend:
                 backend=self.name,
                 reason=reason,
             ).inc()
-        return sub._solve_reduced_coupled(
+        return self.sub._solve_reduced_coupled(
             workload, tier2_price, link_price, previous, warm, probe=probe
         )

@@ -52,7 +52,7 @@ chasing an absolute ``1e-8`` gap pushes ``tau`` beyond what double
 precision supports and stalls Newton.  For the same reason centering
 also stops once the decrease a Newton step predicts is below the
 rounding of ``phi`` itself: past that point the Armijo test can only
-accept noise, and the loop used to spend up to ``max_newton`` steps of
+accept noise, and the loop used to spend up to ``_MAX_NEWTON`` steps of
 ~15 backtracks each without moving.
 """
 
@@ -67,12 +67,7 @@ import scipy.sparse.linalg as spla
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.solvers.convex import (
-    ConvexSolverError,
-    SmoothConvexProgram,
-    SolveInfo,
-    SolverOptions,
-)
+from repro.solvers.convex import ConvexSolverError, SmoothConvexProgram, SolveInfo
 
 _DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
 # A program that declares variable blocks takes the structured Newton
@@ -92,6 +87,15 @@ _MAX_BOUNDARY_FRACTION = 0.99
 _ARMIJO_ALPHA = 0.1
 _ARMIJO_BETA = 0.5
 _EPS = float(np.finfo(float).eps)
+# Path schedule: tau starts at _TAU0 (_WARM_TAU0 for a warm start close
+# to the optimum) and grows by _TAU_MU per centering; the solve stops
+# once the centered duality-gap bound m/tau is below _TOL relative to
+# |f|.  A centering takes at most _MAX_NEWTON steps.
+_TAU0 = 1.0
+_WARM_TAU0 = 1e3
+_TAU_MU = 20.0
+_TOL = 1e-7
+_MAX_NEWTON = 80
 
 
 def _row_pairs(A: sp.csr_matrix, rows: np.ndarray):
@@ -683,18 +687,21 @@ def _workspace(prog: SmoothConvexProgram) -> _Workspace:
 def barrier_solve(
     prog: SmoothConvexProgram,
     v0: "np.ndarray | None" = None,
-    options: "SolverOptions | None" = None,
     info: "SolveInfo | None" = None,
+    tau0: "float | None" = None,
 ) -> np.ndarray:
     """Path-following barrier method; returns the optimal ``v``.
 
     ``v0`` may be any point; if it is not strictly interior a phase-I
-    LP supplies one.  Raises :class:`ConvexSolverError` when Newton
-    fails early on the path (the caller then falls back to
-    trust-constr); a stall deep along the path — where the remaining
-    gap is already below tolerance-sized — is accepted.
+    LP supplies one.  ``tau0`` is where the path starts (default
+    ``_TAU0``).  Raises :class:`ConvexSolverError` when Newton fails
+    early on the path (the caller then falls back to trust-constr); a
+    line-search stall deep along the path — where the remaining gap is
+    already below tolerance-sized — is accepted.  A centering that runs
+    out of ``_MAX_NEWTON`` steps never ends the solve: its point is not
+    centered, so ``m / tau`` does not bound its gap, and the path goes
+    on from it.
     """
-    options = options or SolverOptions()
     ws = _workspace(prog)
     if ws.m_total == 0:
         raise ConvexSolverError("barrier method needs at least one constraint")
@@ -760,7 +767,7 @@ def barrier_solve(
         if not np.isfinite(ws.phi(v, 1.0)):
             raise ConvexSolverError("phase-I point not strictly interior")
 
-    tau = options.barrier_t0
+    tau = _TAU0 if tau0 is None else tau0
     span = obs_tracing.span(
         "barrier.solve", n=prog.objective.n, newton_system=newton_system
     )
@@ -773,8 +780,8 @@ def barrier_solve(
             # Centering: damped Newton on phi_tau.  The decrement target
             # scales with tau (phi_tau's natural scale).
             center_tol = 1e-9 * (1.0 + tau * 1e-4)
-            stalled = False
-            for _ in range(options.max_newton):
+            stalled = exhausted = False
+            for _ in range(_MAX_NEWTON):
                 slack = ws.slacks(v, buffered=True)
                 dv, dec_sq = ws.newton_step(v, tau, slack=slack, fact_out=fact_out)
                 newton_here += 1
@@ -816,26 +823,32 @@ def barrier_solve(
                 # next trial scratch.
                 v, trial_v = trial_v, v
             else:
-                stalled = True
+                exhausted = True
 
             gap = ws.m_total / tau
             scale = 1.0 + abs(prog.objective.value(v))
-            if gap <= options.tol * scale:
-                span.set(newton_iters=newton_here, backtracks=backtracks)
-                _publish("converged")
-                return v
-            if stalled:
-                # Accept a late-path stall if the remaining gap is modest;
-                # otherwise report failure so the caller can fall back.
-                if gap <= 1e3 * options.tol * scale:
+            if not exhausted:
+                # A centered point is within m/tau of the optimum; a
+                # line-search stall is accepted late on the path, where
+                # that bound is already modest.
+                if gap <= _TOL * scale or (stalled and gap <= 1e3 * _TOL * scale):
                     span.set(newton_iters=newton_here, backtracks=backtracks)
                     _publish("converged")
                     return v
-                span.set(
-                    newton_iters=newton_here, backtracks=backtracks, stalled=True
-                )
-                _publish("stalled")
-                raise ConvexSolverError(
-                    f"Newton stalled at tau={tau:.2e} (gap {gap:.2e}, scale {scale:.2e})"
-                )
-            tau *= options.barrier_mu
+                if not stalled:
+                    tau *= _TAU_MU
+                    continue
+            elif gap > _EPS * scale:
+                # Out of steps before centering: m/tau bounds nothing at
+                # this point, so it must not end the solve.  Follow the
+                # path on from it while m/tau is still above f's rounding.
+                tau *= _TAU_MU
+                continue
+            # Stalled early on the path, or never centered: report
+            # failure so the caller can fall back.
+            span.set(newton_iters=newton_here, backtracks=backtracks, stalled=True)
+            _publish("stalled")
+            raise ConvexSolverError(
+                f"Newton {'stalled' if stalled else 'did not center'} at "
+                f"tau={tau:.2e} (gap {gap:.2e}, scale {scale:.2e})"
+            )

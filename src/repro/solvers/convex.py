@@ -36,6 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
+_TRUST_CONSTR_TOL = 1e-9  # gtol and xtol of the trust-constr cross-check
+_TRUST_CONSTR_MAXITER = 500
+
 
 class ConvexSolverError(RuntimeError):
     """Raised when no backend can solve the program."""
@@ -364,20 +367,18 @@ class SeparableObjective:
 
 @dataclass
 class SolverOptions:
-    """Tuning knobs for :meth:`SmoothConvexProgram.solve`.
+    """Which method :meth:`SmoothConvexProgram.solve` runs.
 
-    Defaults are suitable for the subproblem sizes in this library
-    (tens to a few hundred variables, solved thousands of times).
+    ``backend`` is ``"barrier"`` or ``"trust-constr"``; ``fallback``
+    retries a failed barrier solve with trust-constr.  The methods'
+    tolerances and iteration limits are module constants
+    (:mod:`repro.solvers.barrier`, ``_TRUST_CONSTR_*`` here), tuned for
+    the subproblem sizes in this library (tens to a few hundred
+    variables, solved thousands of times).
     """
 
     backend: str = "barrier"
-    tol: float = 1e-7
-    barrier_t0: float = 1.0
-    barrier_mu: float = 20.0
-    max_newton: int = 80
     fallback: bool = True
-    trust_constr_tol: float = 1e-9
-    trust_constr_maxiter: int = 500
 
 
 class SmoothConvexProgram:
@@ -459,12 +460,15 @@ class SmoothConvexProgram:
         self,
         v0: "np.ndarray | None" = None,
         options: "SolverOptions | None" = None,
+        tau0: "float | None" = None,
     ) -> np.ndarray:
         """Solve the program, optionally warm-starting from ``v0``.
 
-        Returns the optimal ``v``; raises :class:`ConvexSolverError`
-        if every backend fails.  Iteration counts and the backend that
-        produced the result are recorded in :attr:`last_info`.
+        ``tau0`` overrides where the barrier starts its path (a warm
+        start close to the optimum begins further along it).  Returns
+        the optimal ``v``; raises :class:`ConvexSolverError` if every
+        backend fails.  Iteration counts and the backend that produced
+        the result are recorded in :attr:`last_info`.
         """
         options = options or SolverOptions()
         backends = [options.backend]
@@ -480,9 +484,9 @@ class SmoothConvexProgram:
                 if backend == "barrier":
                     from repro.solvers.barrier import barrier_solve
 
-                    return barrier_solve(self, v0=v0, options=options, info=info)
+                    return barrier_solve(self, v0=v0, info=info, tau0=tau0)
                 if backend == "trust-constr":
-                    return self._solve_trust_constr(v0, options, info=info)
+                    return self._solve_trust_constr(v0, info=info)
                 raise ConvexSolverError(f"unknown backend {backend!r}")
             except ConvexSolverError as exc:  # try the next backend
                 errors.append(f"{backend}: {exc}")
@@ -548,7 +552,6 @@ class SmoothConvexProgram:
     def _solve_trust_constr(
         self,
         v0: "np.ndarray | None",
-        options: SolverOptions,
         info: "SolveInfo | None" = None,
     ) -> np.ndarray:
         obj = self.objective
@@ -571,9 +574,9 @@ class SmoothConvexProgram:
             constraints=constraints,
             method="trust-constr",
             options={
-                "gtol": options.trust_constr_tol,
-                "xtol": options.trust_constr_tol,
-                "maxiter": options.trust_constr_maxiter,
+                "gtol": _TRUST_CONSTR_TOL,
+                "xtol": _TRUST_CONSTR_TOL,
+                "maxiter": _TRUST_CONSTR_MAXITER,
             },
         )
         v = np.asarray(res.x, dtype=float)

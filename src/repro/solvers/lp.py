@@ -128,10 +128,6 @@ class LinearProgram:
         """Total number of declared variables."""
         return self._n_vars
 
-    def block_size(self, name: str) -> int:
-        """Number of variables in a named block."""
-        return self._blocks[name].size
-
     # ------------------------------------------------------------------
     # Constraints
     # ------------------------------------------------------------------

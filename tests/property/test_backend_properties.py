@@ -1,9 +1,9 @@
-"""Property-based equivalence of the solver-backend layer.
+"""Property-based equivalence of the two P2(t) solves.
 
 The core invariant of the batched backend: solving a *single*
 subproblem through ``BatchedNewtonBackend`` (batch size 1, or the
 closed-form fast path) yields the same decision as the unbatched
-``SequentialBackend`` reference, on randomly generated networks,
+coupled ``sequential`` reference, on randomly generated networks,
 workloads and prices.
 """
 

@@ -1,9 +1,10 @@
-"""Tests for the solver-backend layer (repro.solvers.backends).
+"""Tests for the two ways to solve P2(t) (``SubproblemConfig.backend``).
 
-The acceptance bar: ``BatchedNewtonBackend`` is *decision-identical*
-to ``SequentialBackend`` — tier-2 totals, link allocations and costs
-agree to solver tolerance on every golden scenario — while the cover
-split ``s`` may differ (it is not unique; see the backends doc).
+The acceptance bar: the ``batched`` component split
+(``BatchedNewtonBackend``) is *decision-identical* to the coupled
+``sequential`` solve — tier-2 totals, link allocations and costs agree
+to solver tolerance on every golden scenario — while the cover split
+``s`` may differ (it is not unique; see the backends doc).
 """
 
 from __future__ import annotations
@@ -12,19 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core import RegularizedOnline, SubproblemConfig
-from repro.core.subproblem import RegularizedSubproblem
+from repro.core.subproblem import BACKENDS, RegularizedSubproblem
 from repro.evaluation.experiments import make_instance as make_fig_instance
 from repro.evaluation.scale import ExperimentScale
 from repro.model import Allocation, Cloud, CloudNetwork, SLAEdge
 from repro.model.costs import evaluate_cost
 from repro.model.feasibility import check_trajectory
-from repro.solvers.backends import (
-    BatchedNewtonBackend,
-    SequentialBackend,
-    SolverBackend,
-    available_backends,
-    get_backend,
-)
+from repro.solvers.backends import BatchedNewtonBackend
 
 from conftest import make_instance, make_network
 
@@ -84,28 +79,28 @@ def mixed_network() -> CloudNetwork:
 
 
 class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(available_backends()) >= {"sequential", "batched"}
-
-    def test_instances_satisfy_protocol(self):
-        assert isinstance(get_backend("sequential"), SolverBackend)
-        assert isinstance(get_backend("batched"), SolverBackend)
-        assert isinstance(SequentialBackend(), SolverBackend)
-        assert isinstance(BatchedNewtonBackend(), SolverBackend)
+    def test_both_backends_registered(self, small_network):
+        assert BACKENDS == ("sequential", "batched")
+        seq = RegularizedSubproblem(small_network, SubproblemConfig())
+        bat = RegularizedSubproblem(
+            small_network, SubproblemConfig(backend="batched")
+        )
+        assert seq._batched is None
+        assert isinstance(bat._batched, BatchedNewtonBackend)
 
     def test_unknown_backend_names_the_alternatives(self):
-        with pytest.raises(ValueError, match="unknown solver backend 'nope'"):
-            get_backend("nope")
-        with pytest.raises(ValueError, match="sequential"):
-            get_backend("nope")
+        with pytest.raises(ValueError, match="unknown solver backend 'nope'") as exc:
+            SubproblemConfig(backend="nope")
+        assert "sequential" in str(exc.value)
+        assert "batched" in str(exc.value)
 
     def test_config_rejects_unknown_backend_at_construction(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
             SubproblemConfig(backend="typo")
 
 
-class TestSequentialBackend:
-    """The migrated reference path stays bitwise-identical."""
+class TestSequentialDispatch:
+    """solve_reduced under "sequential" is the coupled solve, bitwise."""
 
     def test_dispatch_equals_coupled_solve(self, small_network):
         inst = make_instance(small_network, horizon=4, seed=2)
@@ -153,7 +148,7 @@ class TestGoldenEquivalence:
     def test_mixed_components_use_batched_newton(self):
         net = mixed_network()
         sub = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
-        handle = sub._backend_handle
+        handle = sub._batched
         # Structure check: the dense 2x2 component is a Newton block,
         # the stars are on the closed-form fast path.
         assert len(handle.blocks) == 1
@@ -214,6 +209,37 @@ class TestBatchedCentering:
         assert bat.run_stats.total_newton_iters <= 5000
         assert len(calls) <= 4000
         assert_decision_identical(inst, seq, bat)
+
+
+class TestUncenteredCentering:
+    """A centering that runs out of Newton steps never ends a solve."""
+
+    def test_warm_coupled_chain_matches_batched_objective(self):
+        from repro.topology.generate import GeoTopologyConfig, generate_topology
+
+        topo = generate_topology(
+            GeoTopologyConfig(
+                n_regions=24, tier1_per_region=10, pops_per_region=2, k=2, seed=0
+            )
+        )
+        t = np.arange(3)[:, None]
+        phase = np.linspace(0.0, np.pi, topo.n_tier1)[None, :]
+        inst = topo.build_instance(10.0 * (1.5 + np.sin(2 * np.pi * t / 24 + phase)))
+        net = inst.network
+        coupled = RegularizedSubproblem(net, SubproblemConfig())
+        batched = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
+        prev, warm = Allocation.zeros(net.n_edges), None
+        for s in range(inst.horizon):
+            args = (inst.workload[s], inst.tier2_price[s], inst.link_price[s], prev)
+            alloc, v = coupled.solve_reduced(*args, warm)
+            _, v_ref = batched.solve_reduced(*args)
+            objective = coupled.build(*args).objective
+            f, f_ref = objective.value(v), objective.value(v_ref)
+            # Warm-started at tau = 1e3, slots 1 and 2 each spend a whole
+            # centering's Newton budget without centering; accepting that
+            # point left f 3,415 and 178 above the optimum.
+            assert abs(f - f_ref) <= 1e-7 * (1.0 + abs(f_ref)), (s, f, f_ref)
+            prev, warm = alloc, v
 
 
 class TestObservability:

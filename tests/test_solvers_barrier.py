@@ -79,6 +79,14 @@ class TestBarrierSolve:
         v = barrier_solve(prog, v0=bad_v0)
         assert prog.residual(v) <= 1e-8
 
+    def test_centering_out_of_steps_never_ends_the_solve(self, monkeypatch):
+        # No Newton steps at all: no centering completes, so no point is
+        # returned, and the path still ends, in an error the caller
+        # falls back on.
+        monkeypatch.setattr(barrier_mod, "_MAX_NEWTON", 0)
+        with pytest.raises(ConvexSolverError, match="did not center"):
+            barrier_solve(covering_program())
+
     def test_box_only_program(self):
         """No general constraints: pure box-constrained minimization."""
         n = 3
@@ -89,7 +97,7 @@ class TestBarrierSolve:
         )
         prog = SmoothConvexProgram(obj, None, None, np.zeros(n), np.ones(n))
         v = barrier_solve(prog)
-        vt = prog._solve_trust_constr(None, SolverOptions())
+        vt = prog._solve_trust_constr(None)
         assert obj.value(v) == pytest.approx(obj.value(vt), rel=1e-5, abs=1e-7)
 
 
