@@ -68,8 +68,8 @@ class RegularizedOnline:
     Parameters
     ----------
     config:
-        Subproblem parameters (epsilon, capacity caps, hedging, solver
-        backend).  Defaults match the paper's evaluation
+        Subproblem parameters (epsilon, solver backend).  Defaults
+        match the paper's evaluation
         (``epsilon = epsilon' = 1e-2``).
 
     Example

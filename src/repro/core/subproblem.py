@@ -25,16 +25,30 @@ slack``).  The split provably affects neither the cost, nor any P1
 constraint, nor the next subproblem (whose regularizer sees only
 ``X_i`` and ``y_e``).
 
-Constraints (all reduced to ``A v <= b`` plus box bounds):
+Constraints (all reduced to ``A v <= b`` plus box bounds), rows in
+this order:
 
-* (3b)  ``y_e >= s_e``;
-* (3c)  ``sum_{e in I_j} s_e >= lambda_j``;
-* (3a)+(1b) reduced: ``sum_{e in J_i} s_e <= X_i``;
-* (3d)  hedging: ``sum_{k != i} X_k >= [sum_j lambda_j - C_i]^+``;
-* (3e)  hedging: ``sum_{k in I_j, k != i} y_kj >= [lambda_j - B_e]^+``;
-* box:  ``0 <= X_i <= C_i``, ``0 <= y_e <= B_e``, ``s_e >= 0``
-  (capacity caps are implied at the optimum by Lemma 1; imposing them
-  explicitly keeps every iterate feasible and is the default).
+* (3b)  ``y_e >= s_e`` (E rows);
+* (3c)  ``sum_{e in I_j} s_e >= lambda_j`` (J rows);
+* (3a)+(1b) reduced: ``sum_{e in J_i} s_e <= X_i`` (I rows);
+* box:  ``0 <= X_i <= C_i``, ``0 <= y_e <= B_e``, ``0 <= s_e <= B_e``.
+  The capacity caps do not move the optimum (Lemma 1); imposing them
+  explicitly keeps every iterate feasible.
+
+The paper's hedging constraints are implied by these rows, so they are
+not built:
+
+* (3d) ``sum_{k != i} X_k >= [Lambda - C_i]^+``: cover and ``s <= X``
+  give ``sum_k X_k >= sum_e s_e >= Lambda``, and the cap ``X_i <= C_i``
+  leaves ``sum_{k != i} X_k >= Lambda - C_i``.
+* (3e) ``sum_{e' in I_j, e' != e} y_e' >= [lambda_j - B_e]^+``: cover
+  and ``s <= y`` give ``sum_{e' in I_j} y_e' >= lambda_j``, and the cap
+  ``y_e <= B_e`` leaves ``lambda_j - B_e`` for the others.
+
+The feasible set, hence the unique optimal ``X`` and ``y``, is the same
+with or without them.  What remains has one row family per variable
+group, which :class:`~repro.solvers.barrier.P2NewtonSystem` solves in
+closed form.
 """
 
 from __future__ import annotations
@@ -49,7 +63,7 @@ from repro.model.network import CloudNetwork
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.solvers.backends.batched import BatchedNewtonBackend
-from repro.solvers.barrier import _WARM_TAU0
+from repro.solvers.barrier import _WARM_TAU0, P2NewtonSystem
 from repro.solvers.convex import (
     EntropicTerm,
     SeparableObjective,
@@ -72,13 +86,6 @@ class SubproblemConfig:
     epsilon_prime:
         The link regularization parameter; ``None`` means "same as
         ``epsilon``" (the paper's evaluation always sets them equal).
-    capacity_caps:
-        Impose ``X_i <= C_i`` and ``y_e <= B_e`` explicitly.
-    hedging:
-        Include the overflow-covering constraints (3d)/(3e).  These are
-        part of the paper's algorithm (they make the dual mapping of
-        the competitive proof work and hedge against demand shifts);
-        disabling them is exposed for ablation studies.
     solver:
         Options forwarded to the convex solver.
     backend:
@@ -90,8 +97,6 @@ class SubproblemConfig:
 
     epsilon: float = 1e-2
     epsilon_prime: float | None = None
-    capacity_caps: bool = True
-    hedging: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
     backend: str = "sequential"
 
@@ -139,11 +144,9 @@ class RegularizedSubproblem:
         self.weight_tier2 = network.tier2_recon_price / self.eta_tier2
         self.weight_link = network.edge_recon_price / self.eta_link
 
-        self._A_static = self._build_static_rows()
         self._bounds = self._build_bounds()
-        self._blocks = self._build_blocks()
-        # Compiled programs keyed by hedging keep-pattern; see build().
-        self._slot_cache: dict[tuple[bytes, bytes], SmoothConvexProgram] = {}
+        # Compiled on the first build(); see there.
+        self._prog: "SmoothConvexProgram | None" = None
 
         # The component split, analysed once; None solves every slot
         # coupled.
@@ -154,82 +157,13 @@ class RegularizedSubproblem:
     # ------------------------------------------------------------------
     # Constraint assembly
     # ------------------------------------------------------------------
-    def _build_static_rows(self) -> dict[str, sp.csr_matrix]:
-        """Constraint matrices that do not depend on slot data."""
-        net = self.network
-        n_i, n_e = net.n_tier2, net.n_edges
-        I_E = sp.identity(n_e, format="csr")
-        Z_ie = sp.csr_matrix((n_e, n_i))
-        Z_ee = sp.csr_matrix((n_e, n_e))
-
-        # (3b) s - y <= 0, rows: E.
-        rows_sy = sp.hstack([Z_ie, -I_E, I_E], format="csr")
-
-        # coverage: -sum_{e in I_j} s_e <= -lambda_j, rows: J.
-        MJ = net.tier1_incidence
-        rows_cov = sp.hstack(
-            [sp.csr_matrix((net.n_tier1, n_i)), sp.csr_matrix((net.n_tier1, n_e)), -MJ],
-            format="csr",
-        )
-
-        # x>=s reduced: sum_{e in J_i} s_e - X_i <= 0, rows: I.
-        MI = net.tier2_incidence
-        rows_xs = sp.hstack(
-            [-sp.identity(n_i, format="csr"), sp.csr_matrix((n_i, n_e)), MI],
-            format="csr",
-        )
-
-        # (3d): -(sum_k X_k - X_i) <= -[Lambda - C_i]^+, rows: I.
-        ones_off_diag = sp.csr_matrix(np.ones((n_i, n_i)) - np.eye(n_i))
-        rows_hedge_x = sp.hstack(
-            [-ones_off_diag, sp.csr_matrix((n_i, n_e)), sp.csr_matrix((n_i, n_e))],
-            format="csr",
-        )
-
-        # (3e): -(sum_{k in I_j} y_kj - y_e) <= -[lambda_j - B_e]^+, rows: E.
-        # Row e selects edges sharing e's tier-1 endpoint, excluding e.
-        MJ_rows = MJ[net.edge_j]  # (E, E): row e has 1s on edges of j(e)
-        rows_hedge_y = sp.hstack(
-            [Z_ie, -(MJ_rows - I_E), Z_ee], format="csr"
-        )
-
-        return {
-            "s_le_y": rows_sy,
-            "coverage": rows_cov,
-            "s_le_X": rows_xs,
-            "hedge_x": rows_hedge_x,
-            "hedge_y": rows_hedge_y,
-        }
-
-    def _build_blocks(self) -> np.ndarray:
-        """One Newton block per tier-1 cloud j: ``[y_e | s_e for e in I_j]``.
-
-        The (3b) ``s <= y``, coverage and (3e) rows of cloud j touch only
-        these variables, so the barrier solves them as one small block
-        per cloud; X stays outside every block, and the (3a)+(1b)
-        ``s <= X`` and (3d) rows, which touch it, become the low-rank
-        correction.  Rows are padded with -1 to the largest degree.
-        """
-        net = self.network
-        n_i, n_e = net.n_tier2, net.n_edges
-        deg = np.bincount(net.edge_j, minlength=net.n_tier1)
-        width = int(deg.max(initial=0))
-        order = np.argsort(net.edge_j, kind="stable")
-        j = net.edge_j[order]
-        pos = np.arange(n_e) - np.concatenate([[0], np.cumsum(deg)[:-1]])[j]
-        blocks = np.full((net.n_tier1, 2 * width), -1, dtype=np.int64)
-        blocks[j, pos] = n_i + order
-        blocks[j, deg[j] + pos] = n_i + n_e + order
-        return blocks
-
     def _build_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         net = self.network
         lb = np.zeros(self.n_vars)
-        ub = np.full(self.n_vars, np.inf)
-        if self.config.capacity_caps:
-            ub[self.sl_X] = net.tier2_capacity
-            ub[self.sl_y] = net.edge_capacity
-            ub[self.sl_s] = net.edge_capacity  # implied by s <= y <= B
+        ub = np.empty(self.n_vars)
+        ub[self.sl_X] = net.tier2_capacity
+        ub[self.sl_y] = net.edge_capacity
+        ub[self.sl_s] = net.edge_capacity  # implied by s <= y <= B
         return lb, ub
 
     def build(
@@ -251,116 +185,70 @@ class RegularizedSubproblem:
             The previous slot's decision (edge space); its tier-2
             totals anchor the regularizers.
 
-        Programs are compiled once per hedging keep-pattern — the only
-        thing that changes the constraint *structure* across slots —
-        and later slots with the same pattern get the **same (mutated)
-        program object** with only ``b``, the linear costs, and the
-        entropic anchors rewritten.  This keeps the compiled objective
-        arrays, the barrier workspace and the cached phase-I interior
-        point alive across slots.  Callers must therefore not hold a
-        built program across a later ``build()`` call expecting it to
-        stay frozen.
+        The program is compiled on the first call, and every later
+        call returns the **same (mutated) program object** with only
+        ``b``, the linear costs and the entropic anchors rewritten.
+        This keeps the compiled objective arrays, the barrier workspace
+        and the cached phase-I interior point alive across slots.
+        Callers must therefore not hold a built program across a later
+        ``build()`` call expecting it to stay frozen.
         """
         net = self.network
-        n_i, n_e = net.n_tier2, net.n_edges
-        workload = np.asarray(workload, dtype=float)
-
-        X_prev = previous.tier2_totals(net)
-        y_prev = np.asarray(previous.y, dtype=float)
-
-        rhs_x = rhs_y = None
-        keep_x = keep_y = None
-        if self.config.hedging:
-            total = float(workload.sum())
-            rhs_x = np.maximum(total - net.tier2_capacity, 0.0)
-            keep_x = rhs_x > 0
-            lam_e = workload[net.edge_j]
-            rhs_y = np.maximum(lam_e - net.edge_capacity, 0.0)
-            keep_y = rhs_y > 0
-
-        key = (
-            keep_x.tobytes() if keep_x is not None else b"",
-            keep_y.tobytes() if keep_y is not None else b"",
-        )
-        prog = self._slot_cache.get(key)
+        prog = self._prog
         if prog is None:
-            prog = self._assemble(
-                workload, tier2_price, link_price, X_prev, y_prev,
-                rhs_x, keep_x, rhs_y, keep_y,
-            )
-            self._slot_cache[key] = prog
-            return prog
-
-        # Cache hit: same structure, new slot data — update in place.
+            prog = self._prog = self._compile()
         linear = prog.objective.linear
         linear[self.sl_X] = tier2_price
         linear[self.sl_y] = link_price
-        prog.objective.set_slot_data(refs=[X_prev, y_prev])
-        b = prog.b
-        n_j = net.n_tier1
-        np.negative(workload, out=b[n_e : n_e + n_j])
-        off = n_e + n_j + n_i
-        if keep_x is not None and np.any(keep_x):
-            kx = int(np.count_nonzero(keep_x))
-            np.negative(rhs_x[keep_x], out=b[off : off + kx])
-            off += kx
-        if keep_y is not None and np.any(keep_y):
-            ky = int(np.count_nonzero(keep_y))
-            np.negative(rhs_y[keep_y], out=b[off : off + ky])
+        prog.objective.set_slot_data(
+            refs=[previous.tier2_totals(net), np.asarray(previous.y, dtype=float)]
+        )
+        n_e = net.n_edges
+        np.negative(workload, out=prog.b[n_e : n_e + net.n_tier1])
         return prog
 
-    def _assemble(
-        self,
-        workload: np.ndarray,
-        tier2_price: np.ndarray,
-        link_price: np.ndarray,
-        X_prev: np.ndarray,
-        y_prev: np.ndarray,
-        rhs_x: "np.ndarray | None",
-        keep_x: "np.ndarray | None",
-        rhs_y: "np.ndarray | None",
-        keep_y: "np.ndarray | None",
-    ) -> SmoothConvexProgram:
-        """Compile a fresh program for one hedging keep-pattern."""
+    def _compile(self) -> SmoothConvexProgram:
+        """The slot-independent program: rows, bounds, objective terms."""
         net = self.network
         cfg = self.config
-        n_i, n_e = net.n_tier2, net.n_edges
-
-        linear = np.zeros(self.n_vars)
-        linear[self.sl_X] = tier2_price
-        linear[self.sl_y] = link_price
-
+        n_i, n_e, n_j = net.n_tier2, net.n_edges, net.n_tier1
+        I_E = sp.identity(n_e, format="csr")
+        # (3b) s - y <= 0; cover -sum_{e in I_j} s_e <= -lambda_j;
+        # reduced x >= s: sum_{e in J_i} s_e - X_i <= 0.
+        A = sp.vstack(
+            [
+                sp.hstack([sp.csr_matrix((n_e, n_i)), -I_E, I_E]),
+                sp.hstack([sp.csr_matrix((n_j, n_i + n_e)), -net.tier1_incidence]),
+                sp.hstack(
+                    [
+                        -sp.identity(n_i, format="csr"),
+                        sp.csr_matrix((n_i, n_e)),
+                        net.tier2_incidence,
+                    ]
+                ),
+            ],
+            format="csr",
+        )
         entropic = [
             EntropicTerm(
                 indices=np.arange(n_i),
                 weight=self.weight_tier2,
                 eps=cfg.epsilon,
-                ref=X_prev,
+                ref=np.zeros(n_i),
             ),
             EntropicTerm(
                 indices=np.arange(n_i, n_i + n_e),
                 weight=self.weight_link,
                 eps=cfg.eps2,
-                ref=y_prev,
+                ref=np.zeros(n_e),
             ),
         ]
-        objective = SeparableObjective(self.n_vars, linear, entropic)
-
-        A_parts = [self._A_static["s_le_y"], self._A_static["coverage"],
-                   self._A_static["s_le_X"]]
-        b_parts = [np.zeros(n_e), -workload, np.zeros(n_i)]
-
-        if keep_x is not None and np.any(keep_x):
-            A_parts.append(self._A_static["hedge_x"][keep_x])
-            b_parts.append(-rhs_x[keep_x])
-        if keep_y is not None and np.any(keep_y):
-            A_parts.append(self._A_static["hedge_y"][keep_y])
-            b_parts.append(-rhs_y[keep_y])
-
-        A = sp.vstack(A_parts, format="csr")
-        b = np.concatenate(b_parts)
+        objective = SeparableObjective(self.n_vars, np.zeros(self.n_vars), entropic)
         lb, ub = self._bounds
-        return SmoothConvexProgram(objective, A, b, lb, ub, blocks=self._blocks)
+        structure = P2NewtonSystem(n_i, n_j, net.edge_i, net.edge_j)
+        return SmoothConvexProgram(
+            objective, A, np.zeros(n_e + n_j + n_i), lb, ub, structure=structure
+        )
 
     # ------------------------------------------------------------------
     # Warm start

@@ -23,9 +23,6 @@ live per-slot gauges instead of post-hoc plots:
   normalized by the allowed miss budget (``slo_target``): burn > 1
   means the error budget is being spent faster than allowed (the SRE
   reading).
-* **tier-2 hedge-check failure rate** — the batched backend's
-  ``hedge_*`` sequential fallbacks over its decided slots, read from
-  the live registry.
 
 Gauges are published as ``health_*`` into the active registry, and
 declarative :class:`AlertRule` thresholds (``"competitive_ratio>1.5:3"``)
@@ -177,23 +174,6 @@ class HealthMonitor:
             return 0.0
         return float(workload[active] @ cheapest[active])
 
-    def _registry_rates(self) -> None:
-        """Gauges folded from live registry counter families."""
-        reg = obs_metrics.active()
-        if reg is None:
-            return
-        hedge_fail = slots = fallbacks = 0.0
-        for labels, value in reg.family_values("backend_sequential_fallbacks_total"):
-            fallbacks += value
-            if str(labels.get("reason", "")).startswith("hedge_"):
-                hedge_fail += value
-        for _, value in reg.family_values("backend_slots_total"):
-            slots += value
-        if slots + fallbacks > 0:
-            self.values["health_hedge_failure_rate"] = hedge_fail / (
-                slots + fallbacks
-            )
-
     # ------------------------------------------------------------------
     def observe_slot(
         self,
@@ -234,7 +214,6 @@ class HealthMonitor:
         self.values["health_slo_burn_rate"] = (
             sum(self._misses) / len(self._misses)
         ) / self.slo_target
-        self._registry_rates()
         self._publish()
         return self._evaluate(t, log)
 
@@ -248,7 +227,6 @@ class HealthMonitor:
             "health_competitive_ratio": "cumulative cost / offline lower bound (upper-bounds the empirical competitive ratio)",
             "health_switching_share": "reconfiguration share of cumulative cost",
             "health_slo_burn_rate": "windowed deadline-miss rate / slo_target (burn > 1 overspends the budget)",
-            "health_hedge_failure_rate": "batched-backend hedge-check failures per attempted slot",
         }
         for name, value in self.values.items():
             reg.gauge(name, help=help_.get(name, "")).set(value)

@@ -318,10 +318,8 @@ class MetricsRegistry:
     def family_values(self, name: str) -> "list[tuple[dict, float]]":
         """``(labels, value)`` of every scalar instrument named ``name``.
 
-        A cheap read path for derived metrics (the health monitor folds
-        counter families like ``backend_slots_total`` every slot)
-        that avoids snapshotting the whole registry.  Histograms have
-        no scalar value and raise.
+        A cheap read path for derived metrics that avoids snapshotting
+        the whole registry.  Histograms have no scalar value and raise.
         """
         fam = self._families.get(name)
         if fam is None:

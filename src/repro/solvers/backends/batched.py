@@ -1,17 +1,12 @@
 """Batched block-diagonal Newton backend for the per-slot subproblems.
 
-The reduced program P2(t) couples its variables through five row
-families (see :mod:`repro.core.subproblem`).  Four of them —
-``s <= y``, workload cover, ``sum s <= X`` and the intra-tier-1 hedge
-(3e) — only ever connect clouds inside one connected component of the
-bipartite (tier-2, tier-1) SLA graph.  The single cross-component
-family is the tier-2 hedge (3d), and a per-component optimum satisfies
-it automatically whenever it is feasible at all: cover forces
-``sum_k X_k >= Lambda`` while the capacity cap bounds ``X_i <= C_i``,
-so ``sum_{k != i} X_k >= Lambda - C_i`` — exactly (3d)'s right-hand
-side.  The backend therefore solves each component independently,
-verifies (3d) post-hoc (cheap), and falls back to the coupled
-sequential solve on the rare violation or structural surprise.
+The reduced program P2(t) couples its variables through three row
+families (see :mod:`repro.core.subproblem`): ``s <= y``, workload cover
+and ``sum s <= X``.  Each only ever connects clouds inside one
+connected component of the bipartite (tier-2, tier-1) SLA graph, so
+P2(t) separates exactly over components.  The backend solves each
+component independently and falls back to the coupled sequential solve
+on a structural surprise.
 
 Two per-component execution paths:
 
@@ -34,9 +29,8 @@ Two per-component execution paths:
 
 Structural analysis happens once, when
 :class:`~repro.core.subproblem.RegularizedSubproblem` builds the
-backend for a ``backend="batched"`` config; per-slot variation (the
-hedging keep-pattern) reuses cached stacked structures the same way
-``RegularizedSubproblem.build`` caches compiled coupled programs.
+backend for a ``backend="batched"`` config; each slot rewrites only the
+stacked groups' right-hand sides, linear costs and anchors.
 
 Equivalence contract: tier-2 totals ``X``, link allocations ``y`` and
 hence every cost term agree with the sequential backend to solver
@@ -104,16 +98,15 @@ class _BatchedGroup:
     """Same-shape Newton blocks stacked into one block-diagonal system.
 
     Variable layout per block: ``[X (nI,) | y (nE,) | s (nE,)]``.
-    Row layout: ``[s<=y (nE) | cover (nJ) | s<=X (nI) | hedge-y (ky)]``.
-    The constraint matrix, bounds and entropic structure are built once
-    per hedging keep-pattern and cached; only the right-hand side,
-    linear costs and regularizer anchors are rewritten per slot.
+    Row layout: ``[s<=y (nE) | cover (nJ) | s<=X (nI)]``.
+    The constraint matrix, bounds and entropic structure are built once;
+    only the right-hand side, linear costs and regularizer anchors are
+    rewritten per slot.
     """
 
     def __init__(
         self,
         blocks: "list[_Block]",
-        keep_y: "np.ndarray | None",
         lb_full: np.ndarray,
         ub_full: np.ndarray,
         sl_X: slice,
@@ -127,12 +120,9 @@ class _BatchedGroup:
         self.blocks = blocks
         B = len(blocks)
         nI, nJ, nE = blocks[0].shape_key
-        ky = 0
-        if keep_y is not None:
-            ky = int(np.count_nonzero(keep_y[blocks[0].te]))
-        self.nI, self.nJ, self.nE, self.ky = nI, nJ, nE, ky
+        self.nI, self.nJ, self.nE = nI, nJ, nE
         n = nI + 2 * nE
-        m = nE + nJ + nI + ky
+        m = nE + nJ + nI
         self.n, self.m = n, m
         self.q = nI + nE  # entropic variables: [X | y]
 
@@ -155,14 +145,6 @@ class _BatchedGroup:
             A[nE + blk.e_j_loc, nI + nE + r] = -1.0       # cover
             A[nE + nJ + blk.e_i_loc, nI + nE + r] = 1.0   # sum s <= X
             A[nE + nJ + np.arange(nI), np.arange(nI)] = -1.0
-            if ky:
-                # hedge-y rows: for each active local edge e0, the row
-                # selects the *other* edges of e0's tier-1 cloud.
-                active = np.flatnonzero(keep_y[blk.te])
-                for row, e0 in enumerate(active):
-                    peers = np.flatnonzero(blk.e_j_loc == blk.e_j_loc[e0])
-                    peers = peers[peers != e0]
-                    A[nE + nJ + nI + row, nI + peers] = -1.0
             self.lb[k, :nI] = lb_full[sl_X][blk.ti]
             self.lb[k, nI : nI + nE] = lb_full[sl_y][blk.te]
             self.lb[k, nI + nE :] = lb_full[sl_s][blk.te]
@@ -175,9 +157,6 @@ class _BatchedGroup:
         self.fin_ub = np.isfinite(self.ub)
         # Barrier constraint count per block: rows + finite bounds.
         self.m_total = float(m + n) + self.fin_ub[0].sum(dtype=float)
-        self._active_y = (
-            [np.flatnonzero(keep_y[blk.te]) for blk in blocks] if ky else None
-        )
 
     def set_slot(
         self,
@@ -186,7 +165,6 @@ class _BatchedGroup:
         link_price: np.ndarray,
         X_prev: np.ndarray,
         y_prev: np.ndarray,
-        rhs_y: "np.ndarray | None",
     ) -> None:
         """Rewrite the per-slot data in place (structure untouched)."""
         nI, nJ, nE = self.nI, self.nJ, self.nE
@@ -196,9 +174,6 @@ class _BatchedGroup:
             self.ref[k, :nI] = X_prev[blk.ti]
             self.ref[k, nI:] = y_prev[blk.te]
             self.b[k, nE : nE + nJ] = -lam[blk.tj]
-            if self.ky:
-                act = self._active_y[k]
-                self.b[k, nE + nJ + nI :] = -rhs_y[blk.te][act]
 
     # ------------------------------------------------------------------
     # Batched objective / barrier kernels
@@ -264,7 +239,8 @@ def _batched_barrier(
     as in the coupled barrier.  Returns ``(V, total Newton
     iterations)``; raises :class:`_BatchSolveError` if any block stalls
     with a large remaining gap or never centers (the slot then falls
-    back to the coupled solve).
+    back to the coupled solve), and if a block's Newton system is
+    singular.
     """
     B = V0.shape[0]
     V = V0.copy()
@@ -300,7 +276,10 @@ def _batched_barrier(
             M = grp.A[idx] * d1[:, :, None]
             H = np.matmul(M.transpose(0, 2, 1), M)
             H[:, np.arange(grp.n), np.arange(grp.n)] += diag
-            dv = np.linalg.solve(H, -g[..., None])[..., 0]
+            try:
+                dv = np.linalg.solve(H, -g[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise _BatchSolveError(f"batched Newton system: {exc}") from None
             iters += idx.size
             dec_sq = -(g * dv).sum(axis=1)
             phi = grp.phi(V, tau)
@@ -406,7 +385,6 @@ class BatchedNewtonBackend:
         self.wX_zero = subproblem.weight_tier2 == 0
         self.wy_zero = subproblem.weight_link == 0
         self.blocks: "list[_Block]" = []
-        self.groups: "dict[bytes, list[_BatchedGroup]]" = {}
         for root in np.unique(np.concatenate([roots_i, roots_j])):
             if fast_root[root]:
                 continue
@@ -426,38 +404,26 @@ class BatchedNewtonBackend:
                     e_j_loc=loc_j[net.edge_j[te]],
                 )
             )
-
-    # ------------------------------------------------------------------
-    def _groups_for(self, keep_y: "np.ndarray | None") -> "list[_BatchedGroup]":
-        """Stacked groups for one hedging keep-pattern (cached)."""
-        sub = self.sub
-        key = keep_y.tobytes() if keep_y is not None else b""
-        cached = self.groups.get(key)
-        if cached is not None:
-            return cached
+        # Newton components stacked by shape.
         by_shape: "dict[tuple, list[_Block]]" = {}
         for blk in self.blocks:
-            ky = 0 if keep_y is None else int(np.count_nonzero(keep_y[blk.te]))
-            by_shape.setdefault(blk.shape_key + (ky,), []).append(blk)
-        lb, ub = sub._bounds
-        groups = [
+            by_shape.setdefault(blk.shape_key, []).append(blk)
+        lb, ub = subproblem._bounds
+        self.groups = [
             _BatchedGroup(
                 blocks,
-                keep_y,
                 lb,
                 ub,
-                sub.sl_X,
-                sub.sl_y,
-                sub.sl_s,
-                sub.weight_tier2,
-                sub.weight_link,
-                sub.config.epsilon,
-                sub.config.eps2,
+                subproblem.sl_X,
+                subproblem.sl_y,
+                subproblem.sl_s,
+                subproblem.weight_tier2,
+                subproblem.weight_link,
+                subproblem.config.epsilon,
+                subproblem.config.eps2,
             )
             for blocks in by_shape.values()
         ]
-        self.groups[key] = groups
-        return groups
 
     # ------------------------------------------------------------------
     def solve(
@@ -476,16 +442,7 @@ class BatchedNewtonBackend:
         lam_e = lam[net.edge_j]
         X_prev = previous.tier2_totals(net)
         y_prev = np.asarray(previous.y, dtype=float)
-        lb, ub = sub._bounds
-        ub_X, ub_y = ub[sub.sl_X], ub[sub.sl_y]
-
-        rhs_x = rhs_y = keep_x = keep_y = None
-        if cfg.hedging:
-            total = float(lam.sum())
-            rhs_x = np.maximum(total - net.tier2_capacity, 0.0)
-            keep_x = rhs_x > 0
-            rhs_y = np.maximum(lam_e - net.edge_capacity, 0.0)
-            keep_y = rhs_y > 0
+        ub_X, ub_y = net.tier2_capacity, net.edge_capacity
 
         fast_i, fast_e = self.fast_i, self.fast_e
 
@@ -497,10 +454,6 @@ class BatchedNewtonBackend:
         # Structural surprises route the whole slot through the coupled
         # solve so behaviour (including infeasibility errors) matches
         # the sequential backend exactly.
-        if keep_y is not None and bool(np.any(keep_y & fast_e)):
-            # An active (3e) row on a degree-1 edge has an empty
-            # left-hand side: the slot is infeasible (or degenerate).
-            return bail("hedge_y_on_star")
         if bool(np.any((lam_e >= ub_y) & fast_e)):
             return bail("star_link_at_capacity")
         if bool(np.any(self.wy_zero & (link_price == 0) & fast_e)):
@@ -556,7 +509,6 @@ class BatchedNewtonBackend:
             # ---------------- batched Newton components ---------------
             batch_sizes: "list[int]" = []
             if self.blocks:
-                groups = self._groups_for(keep_y)
                 # Interior candidate, same construction as the coupled
                 # path's warm-start heuristic, sliced per block.
                 link_sum = net.aggregate_tier1(net.edge_capacity)
@@ -571,10 +523,8 @@ class BatchedNewtonBackend:
                 warm_attempted = warm is not None
                 all_warm = warm_attempted
                 solved: "list[tuple[_BatchedGroup, np.ndarray]]" = []
-                for grp in groups:
-                    grp.set_slot(
-                        lam, tier2_price, link_price, X_prev, y_prev, rhs_y
-                    )
+                for grp in self.groups:
+                    grp.set_slot(lam, tier2_price, link_price, X_prev, y_prev)
                     nI, nE = grp.nI, grp.nE
                     V0 = np.empty((len(grp.blocks), grp.n))
                     for k, blk in enumerate(grp.blocks):
@@ -610,14 +560,6 @@ class BatchedNewtonBackend:
                             v[sub.sl_s][blk.te] = V[k, nI + nE :]
                 except _BatchSolveError:
                     return bail("batched_newton_stalled")
-
-            # ---------------- post-hoc tier-2 hedge check --------------
-            if keep_x is not None and bool(np.any(keep_x)):
-                X = v[sub.sl_X]
-                others = float(X.sum()) - X
-                slack_tol = 1e-9 * (1.0 + rhs_x)
-                if not bool(np.all(others[keep_x] >= rhs_x[keep_x] - slack_tol[keep_x])):
-                    return bail("hedge_x_violation")
 
             span.set(
                 backend=self.name,

@@ -14,16 +14,17 @@ objective Hessian is diagonal, each Newton system is
 ``H = diag(h) + A^T D A`` with ``D`` diagonal.  It is solved one of two
 ways, chosen per program:
 
-* **Structured** (:class:`_BlockSystem`), for a program that declares
-  variable ``blocks`` and has at least ``_STRUCTURED_MIN_VARS``
-  variables.  Rows whose support lies inside one block and ``diag(h)``
-  form a block-diagonal ``B``, factored by one batched Cholesky; the
-  remaining rows are a low-rank term ``U D_G U^T`` applied through the
-  Woodbury capacitance system (size = number of such rows), followed
-  by one step of iterative refinement.  The regularized subproblem
-  P2(t) declares one block per tier-1 cloud: on the paper topology at
-  k=2 this replaces a dense 210x210 factorization per step by 48
-  Cholesky factorizations of 4x4 blocks and one of 36x36.
+* **Structured** (:class:`P2NewtonSystem`), for a program that carries
+  one as its ``structure`` (the regularized subproblem P2(t) does) and
+  either has at least ``_STRUCTURED_MIN_VARS`` variables or lives on
+  the sparse workspace.  Its rows touch one variable group each in a
+  fixed pattern, so ``H`` is solved in closed form: scalar Schur steps
+  for ``y`` and ``X``, one symmetric rank-one update per tier-1 cloud
+  for the cover rows, and an I x I scaled capacitance for the
+  ``s <= X`` rows, followed by one step of iterative refinement.  On
+  the paper topology at k=2 this replaces a dense 210x210 factorization
+  per step by one 18x18 Cholesky and O(E I) vectorised passes, and
+  reads no matrix ``A``.
 * **Dense**: ``A^T D A`` formed by one GEMM and factored by LAPACK
   ``potrf``.  At the sizes this library solves thousands of times (n in
   the low hundreds) dense BLAS beats sparse kernels by an order of
@@ -31,7 +32,7 @@ ways, chosen per program:
   threshold (measured, not guessed; see
   ``benchmarks/test_ablation_solvers.py``); beyond it a sparse
   factorization is used.  It is also the fallback for a single
-  structured step whose block or capacitance matrix Cholesky rejects.
+  structured step whose capacitance matrix Cholesky rejects.
 
 Hot-path structure (measured in ``benchmarks/perf/``): the barrier
 workspace is built once per program and cached on it — it precomputes
@@ -70,15 +71,15 @@ from repro.obs import tracing as obs_tracing
 from repro.solvers.convex import ConvexSolverError, SmoothConvexProgram, SolveInfo
 
 _DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
-# A program that declares variable blocks takes the structured Newton
-# solve (block Cholesky + low-rank capacitance + one refinement step)
-# only from this many variables up; below it the fixed per-step cost of
-# the batched block factorization outweighs the dense O(n^3) it
-# replaces.  Whole Newton step, paper topology, 2-vCPU host, 1 BLAS thread,
-# structured vs dense: 3x5 k=1 (n=13) 0.15 vs 0.05 ms; 6x12 k=2 (n=54)
-# 0.17 vs 0.08 ms; 18x48 k=1 (n=114) 0.24 vs 0.26 ms; 18x48 k=2 (n=210)
-# 0.40 vs 0.98 ms; 18x48 k=3 (n=306) 0.53 vs 2.4 ms.
-_STRUCTURED_MIN_VARS = 150
+# A dense program that carries a P2NewtonSystem takes the closed-form
+# Newton solve only from this many variables up; below it the solve's
+# fixed ~85 us of vectorised passes outweighs the dense O(n^3) it
+# replaces.  Whole Newton step, paper topology, 2-vCPU host, 1 BLAS
+# thread, closed-form vs dense: 3x5 k=1 (n=13) 88 vs 52 us; 6x12 k=2
+# (n=54) 93 vs 51 us; 9x20 k=2 (n=89) 87 vs 90 us; 9x24 k=2 (n=105) 87
+# vs 119 us; 18x48 k=2 (n=210) 108 vs 617 us; 18x48 k=3 (n=306) 135 vs
+# 1,441 us.  The sparse workspace always takes the closed-form solve.
+_STRUCTURED_MIN_VARS = 90
 # Sparse A^T D A structure reuse stores one entry per nonzero product
 # A_ki * A_kj; above this many the one-time memory cost outweighs the
 # per-iteration win and the plain sparse product is used instead.
@@ -120,223 +121,163 @@ def _no_clock() -> float:
     return 0.0
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack ``(k, w, w)`` of lower-triangular matrices.
-
-    Forward substitution one row at a time across the whole stack: ``w``
-    small batched products instead of one LU per matrix
-    (``np.linalg.inv``): 50 -> 31 us for 48 blocks of width 4 on a
-    2-vCPU host.
-    """
-    X = np.zeros_like(L)
-    d = 1.0 / np.diagonal(L, axis1=1, axis2=2)
-    X[:, 0, 0] = d[:, 0]
-    for i in range(1, L.shape[1]):
-        X[:, i, :i] = -(L[:, i : i + 1, :i] @ X[:, :i, :i])[:, 0, :] * d[:, i : i + 1]
-        X[:, i, i] = d[:, i]
-    return X
-
-
 class _NotSPD(Exception):
-    """A structured Newton system that Cholesky rejects; ``reason`` names
-    the failing part, and the step is taken by the dense factorization."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+    """The capacitance Cholesky rejected its matrix; the step is taken by
+    the direct factorization instead."""
 
 
-class _BlockSystem:
-    """Newton system ``diag(h) + A^T D A`` split as block + low rank.
+class P2NewtonSystem:
+    """Closed-form Newton solve for the regularized subproblem P2(t).
 
-    ``blocks`` ``(n_blocks, width)`` lists variable indices, ``-1``
-    padding a narrower block.  A row of ``A`` whose whole support lies
-    in one block is *local*; every other row is *global*.  The local
-    rows and ``diag(h)`` form the block-diagonal matrix ``B`` (a
-    variable outside every block is its own 1x1 block ``h_k``, a padded
-    slot an identity 1x1 block), and the global rows the low-rank term
-    ``U D_G U^T`` with ``U = A_G^T``, so
+    The program's variables are ``v = [X (I,) | y (E,) | s (E,)]`` and
+    its rows ``[s_e - y_e <= 0 (E) | -sum_{e in I_j} s_e <= -lambda_j (J)
+    | sum_{e in J_i} s_e - X_i <= 0 (I)]``, where edge ``e`` joins
+    tier-2 cloud ``edge_i[e]`` and tier-1 cloud ``edge_j[e]`` (the layout
+    :class:`~repro.core.subproblem.RegularizedSubproblem` builds).  With
+    ``h`` the barrier Hessian's diagonal and ``D = diag(1/slack^2)`` split
+    as ``D_y`` (``s <= y``), ``d`` (cover) and ``g`` (``s <= X``), the
+    Newton matrix ``diag(h) + A^T D A`` is solved in three exact steps:
 
-        H = B + U D_G U^T,
-        H^{-1} g = B^{-1} g - B^{-1} U C^{-1} U^T B^{-1} g,
-        C = diag(slack_G^2) + U^T B^{-1} U   (Woodbury).
+    1. Each ``y_e`` and each ``X_i`` appears in one row only, so both are
+       eliminated by scalar Schur steps, leaving on ``s`` the matrix
+       ``M = diag(delta) + sum_j d_j 1_{I_j} 1_{I_j}^T
+       + sum_i gamma_i 1_{J_i} 1_{J_i}^T`` with
+       ``delta_e = h_s + D_y h_y / (h_y + D_y)`` and
+       ``gamma_i = g_i h_X / (h_X + g_i)``.
+    2. The cover term is one rank-one update of a diagonal per tier-1
+       cloud (the ``I_j`` partition the edges), so ``K = diag(delta) +
+       sum_j d_j 1 1^T`` has the symmetric inverse root
+       ``K^{-1} = W W^T``, ``W = diag(delta)^{-1/2} (I - alpha_j q q^T)``
+       per cloud, with ``q`` the unit vector along
+       ``diag(delta)^{-1/2} 1`` and ``alpha = 1 - (1 + c)^{-1/2}``,
+       ``c = d_j sum 1/delta``, formed without cancellation.
+    3. The ``s <= X`` term is ``Z Z^T`` with ``Z_ei = sqrt(gamma_i)`` on
+       ``e in J_i``.  With ``V = W^T Z`` (E x I),
+       ``M^{-1} = W (I - V C^{-1} V^T) W^T`` by Woodbury, where the
+       scaled capacitance ``C = I + V^T V`` (I x I, eigenvalues >= 1) is
+       factored by one Cholesky.
 
-    ``C`` is solved in the scaled form ``I + V^T V`` with
-    ``V = L^{-1} U diag(1/slack_G)`` (``B = L L^T``), which is ``C``
-    congruent-scaled by ``diag(1/slack_G)`` and has eigenvalues >= 1.
-    Everything that depends only on ``A`` and ``blocks`` — the row split,
-    the positions of the local rows' entry products inside ``B``, the
-    gathered ``U`` — is computed here once per program.
+    One step of iterative refinement follows, its residual formed from
+    the row structure by ``bincount`` over ``edge_i``/``edge_j``; no
+    matrix ``A`` is read, so the same solve serves the dense and the
+    sparse workspace.  Everything but ``potrf``/``potrs`` is O(E I).
     """
 
-    def __init__(self, A: sp.csr_matrix, blocks: np.ndarray) -> None:
-        m, n = A.shape
-        nb, w = blocks.shape
-        flat = blocks.ravel()
-        in_slot = flat >= 0
-        self.n, self.nb, self.w = n, nb, w
-        self.nbw = nb * w
-        # Gathers read an (n + 1)-long extension whose last entry fills
-        # the padded slots (1 on the diagonal, 0 in the right-hand side).
-        self.slot_var = np.where(in_slot, flat, n)
-        self.slot_valid = np.flatnonzero(in_slot)
-        self.block_vars = flat[in_slot]
-        var_block = np.full(n, -1, dtype=np.int64)
-        var_block[self.block_vars] = np.repeat(np.arange(nb), w)[in_slot]
-        var_pos = np.zeros(n, dtype=np.int64)
-        var_pos[self.block_vars] = np.tile(np.arange(w), nb)[in_slot]
-        self.free = np.flatnonzero(var_block < 0)
+    def __init__(
+        self,
+        n_tier2: int,
+        n_tier1: int,
+        edge_i: np.ndarray,
+        edge_j: np.ndarray,
+    ) -> None:
+        self.n_i, self.n_j = int(n_tier2), int(n_tier1)
+        self.edge_i = np.asarray(edge_i, dtype=np.intp)
+        self.edge_j = np.asarray(edge_j, dtype=np.intp)
+        self.n_e = self.edge_i.size
+        self.n = self.n_i + 2 * self.n_e
+        self.m = self.n_e + self.n_j + self.n_i
+        # Position of each edge's (tier-1, tier-2) pair in a (J, I) grid.
+        self._pair = self.edge_j * self.n_i + self.edge_i
+        self._rows = np.arange(self.n_e)
+        self._eye_diag = np.arange(self.n_i) * (self.n_i + 1)
+        self._potrf, self._potrs = la.get_lapack_funcs(
+            ("potrf", "potrs"), (np.empty((1, 1)),)
+        )
 
-        # Row split: local iff nonempty and every entry's block equals
-        # the first entry's block, which is a real block.
-        indptr, indices = A.indptr, A.indices
-        row_nnz = np.diff(indptr)
-        nonempty = row_nnz > 0
-        row_of = np.repeat(np.arange(m), row_nnz)
-        nz_block = var_block[indices]
-        first = np.full(m, -1, dtype=np.int64)
-        first[nonempty] = nz_block[indptr[:-1][nonempty]]
-        off = (nz_block != first[row_of]) | (nz_block < 0)
-        local = nonempty & (np.bincount(row_of, weights=off, minlength=m) == 0)
-        local_rows = np.flatnonzero(local)
-        self.global_rows = np.flatnonzero(~local)
+    def matvec(self, dv: np.ndarray) -> np.ndarray:
+        """``A dv`` for the program's row layout."""
+        n_i, n_e = self.n_i, self.n_e
+        dX, dy, ds = dv[:n_i], dv[n_i : n_i + n_e], dv[n_i + n_e :]
+        return np.concatenate([
+            ds - dy,
+            -np.bincount(self.edge_j, weights=ds, minlength=self.n_j),
+            np.bincount(self.edge_i, weights=ds, minlength=n_i) - dX,
+        ])
 
-        # B = bincount of local entry products d_k A_ka A_kb at fixed
-        # positions of the (nb, w, w) stack, plus diag(h).
-        owner, a, b = _row_pairs(A, local_rows)
-        ca, cb = indices[a], indices[b]
-        self.pair_pos = var_block[ca] * w * w + var_pos[ca] * w + var_pos[cb]
-        self.pair_val = A.data[a] * A.data[b]
-        self.pair_owner = owner
-        self.diag_pos = (np.arange(nb)[:, None] * w * w + np.arange(w) * (w + 1)).ravel()
-
-        r = self.global_rows.size
-        self.r = r
-        AGT = A[self.global_rows].toarray().T  # (n, r)
-        self.U = np.zeros((self.nbw + self.free.size, r))
-        self.U[self.slot_valid] = AGT[self.block_vars]
-        self.U[self.nbw :] = AGT[self.free]
-        # U diag(1/slack_G) in slot layout, and V, its image under
-        # L^{-1} (blocks) and h^{-1/2} (free variables).
-        self._R = np.empty((self.U.shape[0], r))
-        self._V = np.empty_like(self._R)
-        self._ext = np.empty(n + 1)
-        self._eye_diag = np.arange(r) * (r + 1)
-        self._potrf, self._potrs = la.get_lapack_funcs(("potrf", "potrs"), (self._R,))
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """``A^T w`` for the program's row layout."""
+        n_i, n_e, n_j = self.n_i, self.n_e, self.n_j
+        w_sy, w_cov, w_sX = w[:n_e], w[n_e : n_e + n_j], w[n_e + n_j :]
+        return np.concatenate([
+            -w_sX, -w_sy, w_sy - w_cov[self.edge_j] + w_sX[self.edge_i]
+        ])
 
     def solve(
         self,
         hdiag: np.ndarray,
         grad: np.ndarray,
-        inv: np.ndarray,
         inv2: np.ndarray,
-        A: np.ndarray,
-        AT: np.ndarray,
         fact_out: "list[float] | None",
     ) -> np.ndarray:
         """The Newton direction ``-H^{-1} grad``; raises :class:`_NotSPD`.
 
-        ``inv``/``inv2`` are ``1/slack`` and its square, ``A``/``AT``
-        the dense constraint matrix and its transpose.  One step of
-        iterative refinement follows the Woodbury solve: when a global
-        row is nearly active its correction cancels large terms, and the
-        refinement brings the normwise backward error back to the dense
-        Cholesky's order (paper topology 18x48, k=2, along real solve
-        paths: worst 7e-9 before, 4e-11 after; dense 5e-14).
-
-        ``fact_out`` accumulates the block and capacitance Cholesky
-        factorizations and every solve with their factors.  Forming
-        ``B``, ``U diag(1/slack_G)``, the capacitance ``V^T V`` and the
-        refinement residual ``H dv`` are assembly and not timed, as on
-        the dense path, where scaling the rows of ``A`` and the GEMM
-        forming ``A^T D A`` are not timed either.
+        ``inv2`` is ``1/slack^2`` per row.  ``fact_out`` accumulates the
+        capacitance Cholesky and every solve through the factored system
+        (the refinement's included); the eliminations, ``V`` and
+        ``V^T V`` are assembly and not timed, as on the dense path,
+        where the GEMM forming ``A^T D A`` is not timed either.
         """
-        n, nb, w = self.n, self.nb, self.w
-        ext = self._ext
-        # (bincount of an empty index array is int: cast, no-op otherwise)
-        B = np.bincount(
-            self.pair_pos,
-            weights=self.pair_val * inv2[self.pair_owner],
-            minlength=nb * w * w,
-        ).astype(float, copy=False)
-        ext[:n] = hdiag
-        ext[n] = 1.0
-        diag = B[self.diag_pos] + ext[self.slot_var]
-        # The dense path's diagonal regularization, applied per block.
-        B[self.diag_pos] = diag + 1e-13 * (1.0 + np.abs(diag))
-        h_free = hdiag[self.free]
-        h_free = h_free + 1e-13 * (1.0 + np.abs(h_free))
-        np.multiply(self.U, inv[self.global_rows], out=self._R)
+        n_i, n_e, n_j = self.n_i, self.n_e, self.n_j
+        ei, ej = self.edge_i, self.edge_j
+        h_X, h_y, h_s = hdiag[:n_i], hdiag[n_i : n_i + n_e], hdiag[n_i + n_e :]
+        D_y, d, g = inv2[:n_e], inv2[n_e : n_e + n_j], inv2[n_e + n_j :]
+        # 1. Scalar Schur steps: y_e against s_e <= y_e, X_i against its row.
+        k_y = D_y / (h_y + D_y)
+        k_X = g / (h_X + g)
+        delta = h_s + h_y * k_y
+        gamma = h_X * k_X
+        # 2. Symmetric root of the per-cloud rank-one cover update.
+        root = 1.0 / np.sqrt(delta)
+        norm2 = np.bincount(ej, weights=root * root, minlength=n_j)
+        c = d * norm2
+        alpha = c / ((1.0 + c) + np.sqrt(1.0 + c))
+        q = root / np.sqrt(norm2[ej])
+        aq = alpha[ej] * q
+        # 3. V = W^T Z, scaled capacitance I + V^T V.
+        z = root * np.sqrt(gamma)[ei]
+        P = np.bincount(self._pair, weights=q * z, minlength=n_j * n_i)
+        V = -aq[:, None] * P.reshape(n_j, n_i)[ej]
+        V[self._rows, ei] += z
+        C = V.T @ V
+        C.reshape(-1)[self._eye_diag] += 1.0
 
         clock = time.perf_counter if fact_out is not None else _no_clock
-        timed = 0.0
         start = clock()
         try:
-            Linv, root, V = self._factor_blocks(B.reshape(nb, w, w), h_free)
-            timed += clock() - start
-            C = V.T @ V if V is not None else None
-            start = clock()
-            factors = (Linv, root, V, self._factor_capacitance(C))
+            cf, info = self._potrf(C, lower=False, overwrite_a=True, clean=False)
+            if info != 0:
+                raise _NotSPD
+            factors = (k_y, k_X, h_y + D_y, h_X + g, root, q, aq, V, cf)
             neg_grad = -grad
             dv = self._apply(factors, neg_grad)
-            timed += clock() - start
-            res = neg_grad - hdiag * dv - AT @ (inv2 * (A @ dv))
-            start = clock()
+            res = neg_grad - hdiag * dv - self.rmatvec(inv2 * self.matvec(dv))
             dv += self._apply(factors, res)
-            timed += clock() - start
             return dv
         finally:
             if fact_out is not None:
-                fact_out[0] += timed
-
-    def _factor_blocks(self, B: np.ndarray, h_free: np.ndarray):
-        """Cholesky of every block; ``V = L^{-1} U diag(1/slack_G)``."""
-        nb, w, nbw, r = self.nb, self.w, self.nbw, self.r
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            raise _NotSPD("block_not_spd") from None
-        if not h_free.min(initial=np.inf) > 0.0:
-            raise _NotSPD("block_not_spd")
-        Linv = _lower_inverse(L)
-        root = np.sqrt(h_free)
-        if not r:
-            return Linv, root, None
-        R, V = self._R, self._V
-        np.matmul(Linv, R[:nbw].reshape(nb, w, r), out=V[:nbw].reshape(nb, w, r))
-        np.divide(R[nbw:], root[:, None], out=V[nbw:])
-        return Linv, root, V
-
-    def _factor_capacitance(self, C: "np.ndarray | None"):
-        """Cholesky of ``I + V^T V`` (in place), None without global rows."""
-        if C is None:
-            return None
-        C.reshape(-1)[self._eye_diag] += 1.0
-        c, info = self._potrf(C, lower=False, overwrite_a=True, clean=False)
-        if info != 0:
-            raise _NotSPD("capacitance_not_spd")
-        return c
+                fact_out[0] += clock() - start
 
     def _apply(self, factors, f: np.ndarray) -> np.ndarray:
         """``H^{-1} f`` for ``H`` as factored by :meth:`solve`."""
-        Linv, root, V, c = factors
-        n, nb, w, nbw = self.n, self.nb, self.w, self.nbw
-        ext = self._ext
-        ext[:n] = f
-        ext[n] = 0.0
-        y = np.empty(self._V.shape[0])
-        np.matmul(Linv, ext[self.slot_var].reshape(nb, w, 1), out=y[:nbw].reshape(nb, w, 1))
-        np.divide(f[self.free], root, out=y[nbw:])
-        if c is not None:
-            z, info = self._potrs(c, V.T @ y, lower=False)
-            if info != 0:  # pragma: no cover - potrs only fails on bad args
-                raise ConvexSolverError(f"Cholesky solve failed (potrs info={info})")
-            y -= V @ z
-        x = np.empty(n)
-        blk = np.matmul(Linv.transpose(0, 2, 1), y[:nbw].reshape(nb, w, 1)).reshape(-1)
-        x[self.block_vars] = blk[self.slot_valid]
-        x[self.free] = y[nbw:] / root
-        return x
+        k_y, k_X, piv_y, piv_X, root, q, aq, V, cf = factors
+        n_i, n_e, n_j = self.n_i, self.n_e, self.n_j
+        ej = self.edge_j
+        f_X, f_y, f_s = f[:n_i], f[n_i : n_i + n_e], f[n_i + n_e :]
+        # Right-hand side of the reduced s system.
+        r = f_s + k_y * f_y + (k_X * f_X)[self.edge_i]
+        # t = W^T r, then t - V C^{-1} V^T t, then W t.
+        t = root * r
+        t -= aq * np.bincount(ej, weights=q * t, minlength=n_j)[ej]
+        z, info = self._potrs(cf, V.T @ t, lower=False)
+        if info != 0:  # pragma: no cover - potrs only fails on bad args
+            raise ConvexSolverError(f"Cholesky solve failed (potrs info={info})")
+        t -= V @ z
+        t -= aq * np.bincount(ej, weights=q * t, minlength=n_j)[ej]
+        ds = root * t
+        # Back-substitute the eliminated y and X.
+        dy = f_y / piv_y + k_y * ds
+        dX = f_X / piv_X + k_X * np.bincount(self.edge_i, weights=ds, minlength=n_i)
+        return np.concatenate([dX, dy, ds])
 
 
 class _Workspace:
@@ -386,18 +327,15 @@ class _Workspace:
         self._not_fin_lb = ~self.fin_lb
         self._not_fin_ub = ~self.fin_ub
         self._gemv_n = np.empty(n)
-        # Structured Newton solve for programs that declare blocks (see
-        # _BlockSystem); ``dense_steps`` tallies, per solve, the steps
-        # it handed to the dense factorization and why.
+        # The closed-form P2(t) Newton solve for programs that carry one
+        # (see P2NewtonSystem); ``dense_steps`` tallies, per solve, the
+        # steps it handed to the direct factorization.
         self.system = None
-        self.dense_steps: "dict[str, int]" = {}
-        if (
-            self.dense
-            and m
-            and prog.blocks is not None
-            and n >= _STRUCTURED_MIN_VARS
+        self.dense_steps = 0
+        if prog.structure is not None and (
+            n >= _STRUCTURED_MIN_VARS or not self.dense
         ):
-            self.system = _BlockSystem(prog.A, prog.blocks)
+            self.system = prog.structure
         if self.dense:
             self.AT = np.ascontiguousarray(self.A.T)
             self._scaled = np.empty((m, n))
@@ -563,12 +501,10 @@ class _Workspace:
                 grad = grad + self.AT @ inv
             if self.system is not None:
                 try:
-                    dv = self.system.solve(
-                        hdiag, grad, inv, inv2, self.A, self.AT, fact_out
-                    )
+                    dv = self.system.solve(hdiag, grad, inv2, fact_out)
                     return dv, float(-grad @ dv)
-                except _NotSPD as exc:
-                    self.dense_steps[exc.reason] = self.dense_steps.get(exc.reason, 0) + 1
+                except _NotSPD:
+                    self.dense_steps += 1
             if self.dense:
                 np.multiply(self.A, inv2[:, None], out=self._scaled)
                 H = np.dot(self.AT, self._scaled, out=self._H)
@@ -718,7 +654,7 @@ def barrier_solve(
     backtracks = 0
 
     newton_system = "structured" if ws.system is not None else "dense"
-    ws.dense_steps.clear()
+    ws.dense_steps = 0
     if info is not None:
         info.newton_system = newton_system
 
@@ -746,16 +682,16 @@ def barrier_solve(
                 "solver_factorization_seconds",
                 help=(
                     "Newton-system factorization + back-solve time per solve "
-                    "(dense: potrf/potrs; structured: block and capacitance "
-                    "Cholesky and their solves; assembly excluded)"
+                    "(dense: potrf/potrs; structured: capacitance Cholesky "
+                    "and the solves through it; assembly excluded)"
                 ),
             ).observe(fact_out[0])
-            for reason, steps in ws.dense_steps.items():
+            if ws.dense_steps:
                 reg.counter(
                     "solver_newton_dense_steps_total",
-                    help="Newton steps a structured solve handed to the dense factorization",
-                    reason=reason,
-                ).inc(steps)
+                    help="Newton steps a structured solve handed to the direct factorization",
+                    reason="capacitance_not_spd",
+                ).inc(ws.dense_steps)
 
     v = None
     if v0 is not None:

@@ -31,10 +31,14 @@ On a barrier failure the wrapper automatically falls back to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, minimize
+
+if TYPE_CHECKING:
+    from repro.solvers.barrier import P2NewtonSystem
 
 _TRUST_CONSTR_TOL = 1e-9  # gtol and xtol of the trust-constr cross-check
 _TRUST_CONSTR_MAXITER = 500
@@ -62,12 +66,11 @@ class SolveInfo:
         assembly excluded (barrier only; measured only while the
         metrics registry is enabled, otherwise stays 0.0).
     newton_system:
-        ``"structured"`` when the barrier solved its Newton systems by
-        block elimination plus a low-rank correction (the program
-        declares ``blocks`` and is large enough), ``"dense"`` when it
-        factorized ``diag(h) + A^T D A`` whole; ``""`` if the barrier
-        never ran.  A structured solve may still take single steps
-        densely (a block or the capacitance matrix not SPD).
+        ``"structured"`` when the barrier solved its Newton systems
+        through the program's ``structure`` (it has one and is large
+        enough), ``"dense"`` when it factorized ``diag(h) + A^T D A``
+        whole; ``""`` if the barrier never ran.  A structured solve may
+        still take single steps directly (capacitance matrix not SPD).
     fallback:
         True when the requested backend failed and a fallback backend
         produced the result.
@@ -384,13 +387,10 @@ class SolverOptions:
 class SmoothConvexProgram:
     """``min f(v) s.t. A v <= b, lb <= v <= ub`` with separable smooth ``f``.
 
-    ``blocks`` optionally declares structure the barrier's Newton solve
-    exploits: an int array ``(n_blocks, width)`` of disjoint variable
-    indices, ``-1`` padding narrower blocks.  Constraint rows whose
-    support lies inside one block then form a block-diagonal system and
-    the remaining rows a low-rank correction (see
-    :mod:`repro.solvers.barrier`).  It changes how Newton systems are
-    solved, never the program.
+    ``structure`` optionally supplies a closed-form Newton solve for the
+    program's row layout (:class:`~repro.solvers.barrier.P2NewtonSystem`,
+    which the regularized subproblem P2(t) passes).  It changes how the
+    barrier solves its Newton systems, never the program.
     """
 
     def __init__(
@@ -400,7 +400,7 @@ class SmoothConvexProgram:
         b: "np.ndarray | None",
         lb: np.ndarray,
         ub: np.ndarray,
-        blocks: "np.ndarray | None" = None,
+        structure: "P2NewtonSystem | None" = None,
     ) -> None:
         self.objective = objective
         n = objective.n
@@ -417,17 +417,7 @@ class SmoothConvexProgram:
         self.ub = np.broadcast_to(np.asarray(ub, float), (n,)).copy()
         if np.any(self.lb > self.ub):
             raise ValueError("lb > ub")
-        if blocks is not None:
-            blocks = np.asarray(blocks)
-            if blocks.ndim != 2 or not np.issubdtype(blocks.dtype, np.integer):
-                raise ValueError("blocks must be a 2-D int array (n_blocks, width)")
-            used = blocks[blocks >= 0]
-            if np.any(blocks < -1) or np.any(used >= n):
-                raise ValueError("blocks index out of range")
-            if np.unique(used).size != used.size:
-                raise ValueError("blocks must not share variables")
-            blocks = blocks.astype(np.int64)
-        self.blocks = blocks
+        self.structure = structure
         self.last_info = SolveInfo()
         # Caches reused across solves of the same structure: the
         # phase-I interior point (valid as long as it stays strictly

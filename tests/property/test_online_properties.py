@@ -61,3 +61,38 @@ def test_tier2_totals_never_spike_above_need(seed):
         # demand from scratch plus the decayed past could justify.
         assert total[t] <= max(prev, demand[t]) + demand[t] + 1e-6
         prev = total[t]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 1000),
+    n_tier2=st.integers(2, 4),
+    n_tier1=st.integers(2, 6),
+    k=st.integers(1, 2),
+    edge_capacity=st.sampled_from([2.0, 5.0]),
+    util=st.floats(0.3, 0.8),
+    backend=st.sampled_from(["sequential", "batched"]),
+)
+def test_decisions_satisfy_the_implied_hedging_rows(
+    seed, n_tier2, n_tier1, k, edge_capacity, util, backend
+):
+    """(3d) and (3e) are not built into P2(t); cover, ``s <= X``,
+    ``s <= y`` and the caps imply them, so every decision meets them."""
+    net = make_network(
+        n_tier2=n_tier2, n_tier1=n_tier1, k=k, edge_capacity=edge_capacity
+    )
+    # Feasible by routing lambda_j / k on each edge: peak demand stays
+    # below k B per tier-1 cloud and C per tier-2 cloud.
+    per_tier2 = -(-n_tier1 // n_tier2)
+    peak = util * min(k * edge_capacity, 10.0 / per_tier2) / 1.04
+    inst = make_instance(net, horizon=4, seed=seed, peak=peak)
+    traj = RegularizedOnline(SubproblemConfig(backend=backend)).run(inst)
+    X = traj.tier2_totals(net)
+    for t in range(inst.horizon):
+        lam = inst.workload[t]
+        rhs_x = np.maximum(lam.sum() - net.tier2_capacity, 0.0)
+        assert np.all(X[t].sum() - X[t] >= rhs_x - 1e-7 * (1.0 + rhs_x))
+        y = traj.y[t]
+        rhs_y = np.maximum(lam[net.edge_j] - net.edge_capacity, 0.0)
+        others = net.aggregate_tier1(y)[net.edge_j] - y
+        assert np.all(others >= rhs_y - 1e-7 * (1.0 + rhs_y))

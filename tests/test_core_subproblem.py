@@ -73,35 +73,19 @@ class TestBuild:
         assert np.all(X_lo[served] > 1e-3)  # exponential decay, not a cliff
         assert np.all(X_lo <= X_hi + 1e-8)  # and no spurious growth
 
-    def test_hedging_rows_only_when_binding(self, sub_setup):
-        net, inst, sub = sub_setup
-        prev = Allocation.zeros(net.n_edges)
-        # Small workload: no hedge rows should be added.
-        small = sub.build(
-            np.full(net.n_tier1, 0.01), inst.tier2_price[0], inst.link_price[0], prev
-        )
-        # Large workload: overflow rows appear.
-        big_lam = np.full(net.n_tier1, 6.0)  # Lambda = 36 > C_i = 10
-        big = sub.build(big_lam, inst.tier2_price[0], inst.link_price[0], prev)
-        assert big.A.shape[0] > small.A.shape[0]
-
     def test_hedging_forces_background_allocation(self):
-        """(3d): with hedging, other clouds hold overflow capacity."""
+        """(3d) holds through cover plus caps: other clouds hold overflow."""
         net = make_network(n_tier2=2, n_tier1=2, k=2, tier2_capacity=3.0,
                            edge_capacity=3.0)
         lam = np.array([2.0, 2.0])  # Lambda = 4 > C_i = 3
         a = np.array([1.0, 100.0])  # cloud 1 is expensive
         c = np.zeros(net.n_edges)
-        cfg_h = SubproblemConfig(epsilon=1e-2, hedging=True)
-        cfg_n = SubproblemConfig(epsilon=1e-2, hedging=False)
         prev = Allocation.zeros(net.n_edges)
-        X_h = RegularizedSubproblem(net, cfg_h).solve(lam, a, c, prev).tier2_totals(net)
-        X_n = RegularizedSubproblem(net, cfg_n).solve(lam, a, c, prev).tier2_totals(net)
-        # Hedging requires sum_{k != 0} X_k >= Lambda - C_0 = 1 even
-        # though cloud 1 is expensive.
-        assert X_h[1] >= 1.0 - 1e-6
-        # Without hedging the expensive cloud holds just the uncoverable rest.
-        assert X_n[1] <= X_h[1] + 1e-8
+        sub = RegularizedSubproblem(net, SubproblemConfig(epsilon=1e-2))
+        X = sub.solve(lam, a, c, prev).tier2_totals(net)
+        # sum_{k != 0} X_k >= Lambda - C_0 = 1 even though cloud 1 is
+        # expensive.
+        assert X[1] >= 1.0 - 1e-6
 
     def test_split_preserves_totals(self, sub_setup):
         net, inst, sub = sub_setup
@@ -113,17 +97,6 @@ class TestBuild:
             alloc.tier2_totals(net), v[sub.sl_X], atol=1e-8
         )
         np.testing.assert_allclose(alloc.y, np.maximum(v[sub.sl_y], 0), atol=1e-12)
-
-    def test_caps_disabled_still_feasible(self, sub_setup):
-        net, inst, _ = sub_setup
-        sub = RegularizedSubproblem(
-            net, SubproblemConfig(epsilon=1e-2, capacity_caps=False)
-        )
-        prev = Allocation.zeros(net.n_edges)
-        alloc = sub.solve(inst.workload[0], inst.tier2_price[0], inst.link_price[0], prev)
-        # Lemma 1: the optimum respects capacities even without caps.
-        assert np.all(alloc.tier2_totals(net) <= net.tier2_capacity + 1e-5)
-        assert np.all(alloc.y <= net.edge_capacity + 1e-6)
 
 
 class TestWarmStart:

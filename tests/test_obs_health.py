@@ -151,25 +151,6 @@ class TestSloBurnRate:
 
 
 class TestRegistryRates:
-    def test_hedge_failure_rate_from_registry(self):
-        with obs_metrics.use() as reg:
-            reg.counter("backend_slots_total", help="", backend="batched").inc(8)
-            reg.counter(
-                "backend_sequential_fallbacks_total",
-                help="",
-                reason="hedge_gap",
-            ).inc(2)
-            reg.counter(
-                "backend_sequential_fallbacks_total",
-                help="",
-                reason="shape",
-            ).inc(1)
-            mon = HealthMonitor(single_edge_network())
-            mon.observe_slot(0, slot(), decision())
-            assert mon.values["health_hedge_failure_rate"] == pytest.approx(
-                2.0 / 11.0
-            )
-
     def test_publishes_gauges_into_registry(self):
         with obs_metrics.use() as reg:
             mon = HealthMonitor(single_edge_network())

@@ -242,6 +242,64 @@ class TestUncenteredCentering:
             prev, warm = alloc, v
 
 
+class TestSingularBlockSystem:
+    def test_singular_batched_newton_system_falls_back(self, monkeypatch):
+        """A singular stacked Newton system bails the slot to the coupled
+        solve instead of escaping ``RegularizedOnline.run``."""
+        from repro.obs import metrics
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        inst = make_instance(mixed_network(), horizon=3, seed=4)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with metrics.use() as reg:
+            traj = RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        assert check_trajectory(inst, traj).ok
+        # Every slot was decided by the coupled barrier.
+        assert traj.run_stats.backends == ("barrier",)
+        fallbacks = {
+            e["labels"]["reason"]: e["value"]
+            for e in reg.snapshot()["metrics"]
+            if e["name"] == "backend_sequential_fallbacks_total"
+        }
+        assert fallbacks == {"batched_newton_stalled": 3}
+
+
+class TestSparseWorkspace:
+    """Past the dense threshold the coupled solve runs the closed-form
+    Newton system on the sparse workspace, not a sparse LU."""
+
+    def test_48_region_chain_matches_batched_objective(self):
+        from repro.topology.generate import GeoTopologyConfig, generate_topology
+
+        topo = generate_topology(
+            GeoTopologyConfig(
+                n_regions=48, tier1_per_region=10, pops_per_region=2, k=2, seed=0
+            )
+        )
+        t = np.arange(3)[:, None]
+        phase = np.linspace(0.0, np.pi, topo.n_tier1)[None, :]
+        inst = topo.build_instance(10.0 * (1.5 + np.sin(2 * np.pi * t / 24 + phase)))
+        net = inst.network
+        coupled = RegularizedSubproblem(net, SubproblemConfig())
+        batched = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
+        prev, warm = Allocation.zeros(net.n_edges), None
+        for s in range(inst.horizon):
+            args = (inst.workload[s], inst.tier2_price[s], inst.link_price[s], prev)
+            alloc, v = coupled.solve_reduced(*args, warm)
+            prog = coupled.build(*args)
+            assert not prog._barrier_ws.dense
+            assert prog.last_info.newton_system == "structured"
+            _, v_ref = batched.solve_reduced(*args)
+            f, f_ref = prog.objective.value(v), prog.objective.value(v_ref)
+            # The sparse LU this replaced was singular here and ended
+            # slots 1 and 2 4.0e-3 and 1.3e-3 (relative) above the
+            # optimum, with no fallback recorded.
+            assert abs(f - f_ref) <= 1e-7 * (1.0 + abs(f_ref)), (s, f, f_ref)
+            prev, warm = alloc, v
+
+
 class TestObservability:
     def test_fast_path_counters(self):
         from repro.obs import metrics
@@ -446,8 +504,8 @@ class TestParallelSweeps:
         import pickle
 
         # The worker payload must round-trip the backend through pickle.
-        config = SubproblemConfig(epsilon=1e-2, backend="batched", hedging=False)
+        config = SubproblemConfig(epsilon=1e-2, epsilon_prime=0.5, backend="batched")
         args = (ExperimentScale.tiny(), "wikipedia", 1e2, config, 1)
         restored = pickle.loads(pickle.dumps(args))
         assert restored[3].backend == "batched"
-        assert restored[3].hedging is False
+        assert restored[3].epsilon_prime == 0.5

@@ -143,27 +143,28 @@ def _unequal_degree_instance():
     return make_instance(net, horizon=6, seed=2)
 
 
-def _capture_structured_steps(monkeypatch, inst, config=None, slots=4):
+def _capture_structured_steps(monkeypatch, inst, slots=4):
     """Run the slot chain with the structured path forced on and capture
-    each structured Newton system (inputs + direction) right after the
-    solve that produced it (the program's data change with the slot)."""
+    each closed-form Newton system (inputs + direction) right after the
+    solve that produced it."""
     monkeypatch.setattr(barrier_mod, "_STRUCTURED_MIN_VARS", 0)
     captured = []
-    original = barrier_mod._BlockSystem.solve
+    original = barrier_mod.P2NewtonSystem.solve
 
-    def spy(self, hdiag, grad, inv, inv2, A, AT, fact_out):
-        dv = original(self, hdiag, grad, inv, inv2, A, AT, fact_out)
-        captured.append((A.copy(), hdiag.copy(), grad.copy(), inv2.copy(), dv.copy()))
+    def spy(self, hdiag, grad, inv2, fact_out):
+        dv = original(self, hdiag, grad, inv2, fact_out)
+        captured.append((hdiag.copy(), grad.copy(), inv2.copy(), dv.copy()))
         return dv
 
-    monkeypatch.setattr(barrier_mod._BlockSystem, "solve", spy)
-    sub = RegularizedSubproblem(inst.network, config or SubproblemConfig())
+    monkeypatch.setattr(barrier_mod.P2NewtonSystem, "solve", spy)
+    sub = RegularizedSubproblem(inst.network, SubproblemConfig())
     prev, warm = Allocation.zeros(inst.network.n_edges), None
     for t in range(slots):
         prev, warm = sub.solve_reduced(
             inst.workload[t], inst.tier2_price[t], inst.link_price[t], prev, warm
         )
-    return captured
+    A = sub._prog.A.toarray()  # the rows are the same every slot
+    return [(A, *step) for step in captured]
 
 
 def _dense_direction(A, hdiag, grad, inv2):
@@ -176,8 +177,21 @@ def _dense_direction(A, hdiag, grad, inv2):
     return la.cho_solve(la.cho_factor(H_reg), -grad), H
 
 
+def _layout_matrix(system):
+    """Dense ``A`` of the row layout P2NewtonSystem assumes."""
+    n_i, n_j, n_e = system.n_i, system.n_j, system.n_e
+    A = np.zeros((system.m, system.n))
+    e = np.arange(n_e)
+    A[e, n_i + e] = -1.0
+    A[e, n_i + n_e + e] = 1.0
+    A[n_e + system.edge_j, n_i + n_e + e] = -1.0
+    A[n_e + n_j + system.edge_i, n_i + n_e + e] = 1.0
+    A[n_e + n_j + np.arange(n_i), np.arange(n_i)] = -1.0
+    return A
+
+
 class TestStructuredNewtonDirection:
-    """The block + low-rank direction solves the dense Newton system.
+    """The closed-form direction solves the dense Newton system.
 
     The comparison is normwise in the Newton equation,
     ``|H (d_s - d_d)| <= 1e-9 (|H| |d_d| + |grad|)``: along real paths the
@@ -203,56 +217,47 @@ class TestStructuredNewtonDirection:
     def test_paper_topology(self, monkeypatch, k):
         self._check(_capture_structured_steps(monkeypatch, _paper(k), slots=3))
 
-    def test_unequal_tier1_degrees_pad_blocks(self, monkeypatch):
-        inst = _unequal_degree_instance()
-        sub = RegularizedSubproblem(inst.network, SubproblemConfig())
-        assert sub._blocks.shape == (3, 6)
-        assert (sub._blocks == -1).sum() == 6
-        self._check(_capture_structured_steps(monkeypatch, inst))
+    def test_unequal_tier1_degrees(self, monkeypatch):
+        self._check(_capture_structured_steps(monkeypatch, _unequal_degree_instance()))
 
     def test_program_without_hedge_rows(self, monkeypatch):
         inst = make_instance(make_network(n_tier2=4, n_tier1=8), horizon=6, seed=3)
-        captured = _capture_structured_steps(
-            monkeypatch, inst, SubproblemConfig(hedging=False)
-        )
+        self._check(_capture_structured_steps(monkeypatch, inst))
+
+    def test_clouds_without_edges(self):
+        """A tier-1 cloud without SLA edges has an empty cover row and a
+        tier-2 cloud without edges an ``s <= X`` row on X alone; neither
+        may disturb the rank-one or capacitance steps."""
+        # Tier-1 cloud 2 and tier-2 cloud 3 have no edges.
+        edge_i = np.array([0, 1, 1, 2, 0])
+        edge_j = np.array([0, 0, 1, 1, 3])
+        system = barrier_mod.P2NewtonSystem(4, 4, edge_i, edge_j)
+        A = _layout_matrix(system)
+        rng = np.random.default_rng(5)
+        captured = []
+        for scale in (1e-6, 1.0, 1e6):
+            hdiag = rng.uniform(0.1, 10.0, system.n)
+            inv2 = scale * rng.uniform(0.1, 10.0, system.m)
+            grad = rng.normal(size=system.n)
+            d_s = system.solve(hdiag, grad, inv2, None)
+            captured.append((A, hdiag, grad, inv2, d_s))
         self._check(captured)
 
-    def test_blocks_without_local_rows(self, monkeypatch):
-        """Every row global: B is diag(h) alone (regression: the empty
-        bincount came back int and truncated the diagonal)."""
-        base = covering_program(n=5)
-        prog = SmoothConvexProgram(
-            base.objective, base.A, base.b, base.lb, base.ub,
-            blocks=np.array([[0, 1], [2, 3]]),
-        )
-        monkeypatch.setattr(barrier_mod, "_STRUCTURED_MIN_VARS", 0)
-        ws = _Workspace(prog)
-        assert ws.system is not None and ws.system.r == 1
-        v = prog._interior_start()
-        for tau in (1.0, 1e3, 1e6):
-            d_s, _ = ws.newton_step(v, tau)
-            ws.system, system = None, ws.system
-            d_d, _ = ws.newton_step(v, tau)
-            ws.system = system
-            np.testing.assert_allclose(d_s, d_d, rtol=1e-9, atol=1e-12)
-
-    def test_row_split_on_paper_k2(self):
+    def test_row_layout_on_paper_k2(self):
+        """The subproblem builds exactly the rows the system assumes."""
         inst = _paper(2)
         sub = RegularizedSubproblem(inst.network, SubproblemConfig())
         prog = sub.build(
             inst.workload[0], inst.tier2_price[0], inst.link_price[0],
             Allocation.zeros(inst.network.n_edges),
         )
-        system = _Workspace(prog).system
-        assert system is not None and prog.objective.n == 210
-        n_tier2 = inst.network.n_tier2
-        # s <= y, coverage and (3e) are local; the rows touching X —
-        # s <= X and (3d) — are global.
-        touches_X = (prog.A.toarray()[:, :n_tier2] != 0).any(axis=1)
-        assert system.global_rows.tolist() == np.flatnonzero(touches_X).tolist()
-        assert prog.A.shape[0] - system.r >= 96 + 48
-        assert system.free.tolist() == list(range(n_tier2))
-        assert (system.nb, system.w) == (48, 4)
+        assert _Workspace(prog).system is prog.structure
+        assert prog.A.shape == (96 + 48 + 18, 210)
+        np.testing.assert_array_equal(prog.A.toarray(), _layout_matrix(prog.structure))
+        rng = np.random.default_rng(0)
+        v, w = rng.normal(size=210), rng.normal(size=prog.A.shape[0])
+        np.testing.assert_allclose(prog.structure.matvec(v), prog.A @ v, atol=1e-12)
+        np.testing.assert_allclose(prog.structure.rmatvec(w), prog.A.T @ w, atol=1e-12)
 
 
 class TestShapeGate:
@@ -268,20 +273,42 @@ class TestShapeGate:
         prog.solve()
         assert prog.last_info.newton_system == "dense"
 
-    def test_programs_without_blocks_stay_dense(self):
+    def test_programs_without_structure_stay_dense(self):
         prog = covering_program(n=400)
         assert _Workspace(prog).system is None
 
+    def test_sparse_workspace_uses_the_structure_at_any_size(self, monkeypatch):
+        inst = _paper(2, n_tier2=6, n_tier1=12)
+        sub = RegularizedSubproblem(inst.network, SubproblemConfig())
+        prog = sub.build(
+            inst.workload[0], inst.tier2_price[0], inst.link_price[0],
+            Allocation.zeros(inst.network.n_edges),
+        )
+        monkeypatch.setattr(barrier_mod, "_DENSE_NNZ_THRESHOLD", 0)
+        ws = barrier_mod._workspace(prog)
+        assert not ws.dense and ws.system is prog.structure
+
 
 class TestStructuredFallback:
-    """A step whose block or capacitance Cholesky fails goes dense."""
+    """A step whose capacitance Cholesky fails goes dense."""
 
-    def _solve(self, monkeypatch):
+    def test_non_spd_capacitance_takes_the_dense_step(self, monkeypatch):
         inst = _paper(2)
         sub = RegularizedSubproblem(inst.network, SubproblemConfig())
         data = (inst.workload[0], inst.tier2_price[0], inst.link_price[0],
                 Allocation.zeros(inst.network.n_edges))
         reference, _ = sub.solve_reduced(*data)
+        system = sub.build(*data).structure
+        potrf = system._potrf
+        calls = {"n": 0}
+
+        def indefinite_every_other(C, **kwargs):
+            calls["n"] += 1
+            if calls["n"] % 2:
+                C[0, 0] = -1.0
+            return potrf(C, **kwargs)
+
+        monkeypatch.setattr(system, "_potrf", indefinite_every_other)
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use(registry):
             alloc, v = sub.solve_reduced(*data)
@@ -290,67 +317,13 @@ class TestStructuredFallback:
         assert prog.last_info.backend == "barrier" and not prog.last_info.fallback
         assert prog.residual(v) <= 1e-9
         np.testing.assert_allclose(alloc.y, reference.y, rtol=1e-4, atol=1e-6)
-        return {
+        dense_steps = {
             entry["labels"]["reason"]: entry["value"]
             for entry in registry.snapshot()["metrics"]
             if entry["name"] == "solver_newton_dense_steps_total"
         }
-
-    def test_non_spd_block_takes_the_dense_step(self, monkeypatch):
-        original = barrier_mod._BlockSystem._factor_blocks
-        calls = {"n": 0}
-
-        def indefinite_first(self, B, h_free):
-            calls["n"] += 1
-            if calls["n"] % 2:  # every other step
-                B = B.copy()
-                B[0, 0, 0] = -1.0
-            return original(self, B, h_free)
-
-        monkeypatch.setattr(barrier_mod._BlockSystem, "_factor_blocks", indefinite_first)
-        dense_steps = self._solve(monkeypatch)
-        assert dense_steps.get("block_not_spd", 0) > 0
-        assert "capacitance_not_spd" not in dense_steps
-
-    def test_non_spd_capacitance_takes_the_dense_step(self, monkeypatch):
-        original = barrier_mod._BlockSystem._factor_capacitance
-
-        def indefinite(self, C):
-            C[0, 0] = -1.0
-            return original(self, C)
-
-        monkeypatch.setattr(barrier_mod._BlockSystem, "_factor_capacitance", indefinite)
-        dense_steps = self._solve(monkeypatch)
-        assert dense_steps.get("capacitance_not_spd", 0) > 0
-        assert "block_not_spd" not in dense_steps
-
-
-class TestLowerInverse:
-    @pytest.mark.parametrize("width", [1, 2, 4, 6])
-    def test_matches_numpy_inverse(self, width):
-        rng = np.random.default_rng(width)
-        M = rng.normal(size=(7, width, width))
-        L = np.linalg.cholesky(M @ M.transpose(0, 2, 1) + np.eye(width))
-        np.testing.assert_allclose(
-            barrier_mod._lower_inverse(L), np.linalg.inv(L), rtol=1e-12, atol=1e-14
-        )
-
-
-class TestBlocksValidation:
-    @pytest.mark.parametrize(
-        "blocks, message",
-        [
-            (np.array([0, 1]), "2-D int"),
-            (np.array([[0.0, 1.0]]), "2-D int"),
-            (np.array([[0, 7]]), "out of range"),
-            (np.array([[0, -2]]), "out of range"),
-            (np.array([[0, 1], [1, 2]]), "share"),
-        ],
-    )
-    def test_bad_blocks_rejected(self, blocks, message):
-        base = covering_program()
-        with pytest.raises(ValueError, match=message):
-            SmoothConvexProgram(base.objective, base.A, base.b, base.lb, base.ub, blocks=blocks)
+        assert set(dense_steps) == {"capacitance_not_spd"}
+        assert dense_steps["capacitance_not_spd"] > 0
 
 
 class TestNewtonSystemObservability:
