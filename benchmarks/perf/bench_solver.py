@@ -9,12 +9,12 @@ Two kinds of scenario:
   one compiled P2(t) program.
 * ``batched`` / ``batched-k2-parity`` — full
   :class:`~repro.core.online.RegularizedOnline` trajectories under the
-  ``--backend batched`` solver layer (component decomposition +
-  closed-form stars + batched block-diagonal Newton, see
+  ``--backend batched`` solver layer (closed-form stars when every SLA
+  component is a star, else the coupled solve; see
   docs/SOLVER_BACKENDS.md) against the ``sequential`` reference on the
   same instance, recording the residual decision gap alongside the
   speedup.  ``batched-k2-parity`` (full run only) pins the k=2
-  fallback case, where the two backends are bitwise identical.
+  non-star case, where the two backends are bitwise identical.
 
 Usage::
 
@@ -71,8 +71,8 @@ def bench_backend(
 ) -> dict:
     """Time RegularizedOnline under the two solver backends.
 
-    The two configurations take *different* numerical paths (closed-form stars + batched Newton vs the coupled
-    barrier), so alongside wall time the scenario records the maximum
+    The two configurations take *different* numerical paths on a star
+    graph (closed form vs the coupled barrier), so alongside wall time the scenario records the maximum
     relative decision deviation (tier-2 totals, link allocations, total
     cost) — the equivalence contract from docs/SOLVER_BACKENDS.md.
     """
@@ -192,9 +192,9 @@ def run(repeats: int, smoke: bool) -> dict:
         ),
     ]
     if not smoke:
-        # k=2 parity row: one whole-graph component -> the batched
-        # backend falls back to the coupled solve; speedup ~1x and the
-        # decision gaps are exactly zero (bitwise fallback).
+        # k=2 parity row: a non-star graph -> the batched backend runs
+        # the coupled solve; speedup ~1x and the decision gaps are
+        # exactly zero (the same code).
         scenarios.append(
             bench_backend(
                 "batched-k2-parity", scale, "wikipedia",

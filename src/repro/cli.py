@@ -70,9 +70,9 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         default="sequential",
         help="solver backend for the regularized subproblems: "
         "'sequential' solves each slot as one coupled program (the "
-        "reference), 'batched' splits it into SLA components solved by "
-        "closed forms and batched block-diagonal Newton (same "
-        "decisions, faster; see docs/SOLVER_BACKENDS.md)",
+        "reference), 'batched' solves it in closed form when every SLA "
+        "component is a star (k=1) and as 'sequential' otherwise (same "
+        "decisions, faster at k=1; see docs/SOLVER_BACKENDS.md)",
     )
 
 

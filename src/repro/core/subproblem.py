@@ -66,6 +66,7 @@ from repro.solvers.backends.batched import BatchedNewtonBackend
 from repro.solvers.barrier import _WARM_TAU0, P2NewtonSystem
 from repro.solvers.convex import (
     EntropicTerm,
+    NonDescentStep,
     SeparableObjective,
     SmoothConvexProgram,
     SolverOptions,
@@ -89,10 +90,10 @@ class SubproblemConfig:
     solver:
         Options forwarded to the convex solver.
     backend:
-        How P2(t) is solved: ``"sequential"`` (the coupled reference
-        solve, default) or ``"batched"`` (component-split closed forms
-        + batched block-diagonal Newton,
-        :mod:`repro.solvers.backends`).
+        How P2(t) is solved: ``"sequential"`` (the coupled barrier
+        solve, default) or ``"batched"`` (the closed form of eq. (6)
+        when every SLA component is a star, else the same coupled
+        solve; :mod:`repro.solvers.backends`).
     """
 
     epsilon: float = 1e-2
@@ -148,10 +149,12 @@ class RegularizedSubproblem:
         # Compiled on the first build(); see there.
         self._prog: "SmoothConvexProgram | None" = None
 
-        # The component split, analysed once; None solves every slot
-        # coupled.
+        # The closed-form star solve; None solves every slot coupled,
+        # as does any graph with a non-star SLA component.
         self._batched = (
-            BatchedNewtonBackend(self) if config.backend == "batched" else None
+            BatchedNewtonBackend(self)
+            if config.backend == "batched" and BatchedNewtonBackend.applies(network)
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -335,9 +338,9 @@ class RegularizedSubproblem:
     ) -> "tuple[Allocation, np.ndarray]":
         """Solve P2(t); also return the reduced solution vector.
 
-        ``config.backend == "batched"`` solves through
-        :class:`~repro.solvers.backends.BatchedNewtonBackend`; the
-        ``sequential`` default runs :meth:`_solve_reduced_coupled`.
+        ``config.backend == "batched"`` on an all-star SLA graph solves
+        through :class:`~repro.solvers.backends.BatchedNewtonBackend`;
+        every other case runs :meth:`_solve_reduced_coupled`.
 
         ``warm`` may be the previous slot's reduced solution: decisions
         change slowly, so the barrier starts on the segment from the
@@ -371,7 +374,11 @@ class RegularizedSubproblem:
         """The reference path: one coupled barrier solve over all clouds.
 
         This is both the ``sequential`` backend and the fallback the
-        ``batched`` one routes structurally surprising slots through.
+        ``batched`` one routes non-star graphs and the slots its closed
+        form does not cover through.  A warm-started solve that meets a
+        non-descent Newton step
+        (:class:`~repro.solvers.convex.NonDescentStep`) restarts once
+        from the cold start, counted as warm-start outcome ``restart``.
         """
         prog = self.build(workload, tier2_price, link_price, previous)
         cand = self._interior_candidate(prog, workload)
@@ -388,18 +395,19 @@ class RegularizedSubproblem:
                 v0 = start
                 warm_used = True
                 tau0 = _WARM_TAU0
-        reg = obs_metrics.active()
-        if reg is not None:
-            outcome = (
-                "cold" if warm is None else ("hit" if warm_used else "miss")
-            )
-            reg.counter(
-                "subproblem_warm_starts_total",
-                help="warm-start outcomes per subproblem solve",
-                outcome=outcome,
-            ).inc()
+        outcome = "cold" if warm is None else ("hit" if warm_used else "miss")
         with obs_tracing.span("subproblem.solve") as span:
-            v = prog.solve(v0=v0, options=self.config.solver, tau0=tau0)
+            try:
+                v = prog.solve(v0=v0, options=self.config.solver, tau0=tau0)
+            except NonDescentStep:
+                # The warm path met a Newton system solved too
+                # inaccurately to descend; the cold path from the
+                # interior candidate is the fallback, taken once.
+                spent = prog.last_info.newton_iters
+                v = prog.solve(v0=cand, options=self.config.solver)
+                prog.last_info.newton_iters += spent
+                warm_used = False
+                outcome = "restart"
             span.set(
                 backend=prog.last_info.backend,
                 warm_attempted=warm_attempted,
@@ -407,6 +415,13 @@ class RegularizedSubproblem:
                 fallback=prog.last_info.fallback,
                 newton_iters=prog.last_info.newton_iters,
             )
+        reg = obs_metrics.active()
+        if reg is not None:
+            reg.counter(
+                "subproblem_warm_starts_total",
+                help="warm-start outcomes per subproblem solve",
+                outcome=outcome,
+            ).inc()
         if probe is not None:
             info = prog.last_info
             probe.record_solve(

@@ -153,13 +153,13 @@ def render_metrics(snapshot: dict) -> str:
     from repro.obs.export import describe_snapshot
 
     out = "== metrics ==\n" + describe_snapshot(snapshot)
-    warm = {"hit": 0.0, "miss": 0.0, "cold": 0.0}
+    warm = {"hit": 0.0, "miss": 0.0, "restart": 0.0, "cold": 0.0}
     for entry in snapshot.get("metrics", []):
         if entry.get("name") == "subproblem_warm_starts_total":
             outcome = entry.get("labels", {}).get("outcome")
             if outcome in warm:
                 warm[outcome] += float(entry.get("value", 0.0))
-    attempts = warm["hit"] + warm["miss"]
+    attempts = warm["hit"] + warm["miss"] + warm["restart"]
     if attempts or warm["cold"]:
         if attempts:
             rate = f"{100.0 * warm['hit'] / attempts:.0f}% ({warm['hit']:.0f}/{attempts:.0f})"

@@ -315,23 +315,6 @@ class MetricsRegistry:
             metrics.append(entry)
         return {"schema": METRICS_SCHEMA, "metrics": metrics}
 
-    def family_values(self, name: str) -> "list[tuple[dict, float]]":
-        """``(labels, value)`` of every scalar instrument named ``name``.
-
-        A cheap read path for derived metrics that avoids snapshotting
-        the whole registry.  Histograms have no scalar value and raise.
-        """
-        fam = self._families.get(name)
-        if fam is None:
-            return []
-        if fam["kind"] == "histogram":
-            raise ValueError(f"metric {name!r} is a histogram, not a scalar")
-        return [
-            (dict(labels), inst.value)
-            for (n, labels), inst in self._metrics.items()
-            if n == name
-        ]
-
     def clear(self) -> None:
         """Drop every instrument (tests; fresh CLI runs)."""
         with self._lock:

@@ -13,10 +13,12 @@ provides the two solver layers everything else is built on:
   ``scipy.optimize.minimize(trust-constr)`` cross-check backend;
 * :mod:`repro.solvers.kkt` — first-order optimality verification used
   in tests;
-* :mod:`repro.solvers.backends` — the component-split solve of P2(t)
-  (closed-form stars, batched block Newton, coupled fallback), the
-  ``batched`` alternative to the coupled ``sequential`` solve that
-  :class:`~repro.core.subproblem.SubproblemConfig` selects.
+* :mod:`repro.solvers.backends` — the closed-form solve of P2(t) on an
+  all-star SLA graph (eq. (6)), the ``batched`` alternative to the
+  coupled ``sequential`` solve that
+  :class:`~repro.core.subproblem.SubproblemConfig` selects; every
+  other graph, and every slot the closed form does not cover, takes
+  the coupled solve.
 
 Importing the package pins numpy's and scipy's bundled OpenBLAS to one
 thread (:mod:`repro.solvers.blas`), so decisions do not depend on the
@@ -31,10 +33,7 @@ from repro.solvers.convex import (
     SmoothConvexProgram,
     SolverOptions,
 )
-from repro.solvers.kkt import (
-    block_first_order_certificates,
-    first_order_certificate,
-)
+from repro.solvers.kkt import first_order_certificate
 
 __all__ = [
     "LinearProgram",
@@ -45,7 +44,6 @@ __all__ = [
     "SolverOptions",
     "ConvexSolverError",
     "first_order_certificate",
-    "block_first_order_certificates",
 ]
 
 pin_threads()

@@ -68,7 +68,12 @@ import scipy.sparse.linalg as spla
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.solvers.convex import ConvexSolverError, SmoothConvexProgram, SolveInfo
+from repro.solvers.convex import (
+    ConvexSolverError,
+    NonDescentStep,
+    SmoothConvexProgram,
+    SolveInfo,
+)
 
 _DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
 # A dense program that carries a P2NewtonSystem takes the closed-form
@@ -636,7 +641,9 @@ def barrier_solve(
     already below tolerance-sized — is accepted.  A centering that runs
     out of ``_MAX_NEWTON`` steps never ends the solve: its point is not
     centered, so ``m / tau`` does not bound its gap, and the path goes
-    on from it.
+    on from it.  A Newton direction that is not a descent direction
+    (non-finite, or a decrement below minus the centering tolerance)
+    raises :class:`NonDescentStep`, which is never read as centered.
     """
     ws = _workspace(prog)
     if ws.m_total == 0:
@@ -724,11 +731,23 @@ def barrier_solve(
                 if info is not None:
                     info.newton_iters += 1
                 phi0 = ws.phi(v, tau, slack=slack)
+                floor = max(center_tol, _EPS * abs(phi0))
+                # A non-finite or clearly negative decrement means the
+                # Newton system was solved too inaccurately to give a
+                # descent direction: the step failed, and says nothing
+                # about centering.
+                if not dec_sq >= -floor:
+                    span.set(newton_iters=newton_here, backtracks=backtracks)
+                    _publish("non_descent")
+                    raise NonDescentStep(
+                        f"Newton direction is not a descent direction at "
+                        f"tau={tau:.2e} (decrement^2 {dec_sq:.2e})"
+                    )
                 # Centered once the decrement target is met, or once the
                 # decrease a Newton step predicts (dec^2 / 2) is below
                 # phi's own rounding: no step could then show progress,
                 # and the Armijo test would only accept rounding noise.
-                if dec_sq / 2.0 <= max(center_tol, _EPS * abs(phi0)):
+                if dec_sq / 2.0 <= floor:
                     break
                 if has_rows:
                     if ws.dense:

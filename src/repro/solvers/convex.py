@@ -48,6 +48,15 @@ class ConvexSolverError(RuntimeError):
     """Raised when no backend can solve the program."""
 
 
+class NonDescentStep(ConvexSolverError):
+    """The barrier's Newton direction was not a descent direction.
+
+    Raised out of a warm-started :meth:`SmoothConvexProgram.solve`
+    (``tau0`` given) instead of falling back, so the caller can restart
+    the solve once from its cold start.
+    """
+
+
 @dataclass
 class SolveInfo:
     """Bookkeeping for one :meth:`SmoothConvexProgram.solve` call.
@@ -457,8 +466,10 @@ class SmoothConvexProgram:
         ``tau0`` overrides where the barrier starts its path (a warm
         start close to the optimum begins further along it).  Returns
         the optimal ``v``; raises :class:`ConvexSolverError` if every
-        backend fails.  Iteration counts and the backend that produced
-        the result are recorded in :attr:`last_info`.
+        backend fails, and :class:`NonDescentStep` if a warm-started
+        barrier meets a non-descent Newton step.  Iteration counts and
+        the backend that produced the result are recorded in
+        :attr:`last_info`.
         """
         options = options or SolverOptions()
         backends = [options.backend]
@@ -479,6 +490,8 @@ class SmoothConvexProgram:
                     return self._solve_trust_constr(v0, info=info)
                 raise ConvexSolverError(f"unknown backend {backend!r}")
             except ConvexSolverError as exc:  # try the next backend
+                if isinstance(exc, NonDescentStep) and tau0 is not None:
+                    raise  # a warm start: the caller restarts it cold
                 errors.append(f"{backend}: {exc}")
         raise ConvexSolverError("; ".join(errors))
 

@@ -86,29 +86,3 @@ def first_order_certificate(
     if not res.success:  # pragma: no cover - the LP is always feasible (d=0)
         raise RuntimeError(f"certificate LP failed: {res.message}")
     return float(res.fun)
-
-
-def block_first_order_certificates(
-    programs: "list[SmoothConvexProgram]",
-    solutions: "list[np.ndarray]",
-    active_tol: float = 1e-6,
-) -> np.ndarray:
-    """Per-block certificates for a block-diagonal system's solution.
-
-    A batched backend solve is a set of independent block solves; the
-    stacked system is first-order optimal iff every block is (the
-    certificate LP decomposes along the block-diagonal structure).
-    This returns one :func:`first_order_certificate` value per block so
-    tests can certify a batched solution without reassembling one big
-    coupled program.
-    """
-    if len(programs) != len(solutions):
-        raise ValueError(
-            f"{len(programs)} programs but {len(solutions)} solutions"
-        )
-    return np.array(
-        [
-            first_order_certificate(prog, v, active_tol=active_tol)
-            for prog, v in zip(programs, solutions)
-        ]
-    )

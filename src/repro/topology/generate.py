@@ -25,7 +25,8 @@ Placement model (the SIGMETRICS'25 CloudRouting PoP-map shape):
   regions: each region contributes between 1 and ``pops_per_region
   // k`` connected components — exactly one when ``k ==
   pops_per_region`` (in particular the corpus's single-PoP regions).
-  This is the structure the batched solver backend splits P2(t) along.
+  P2(t) separates exactly along these components; at ``k == 1`` each
+  is a star, which the batched solver backend solves in closed form.
 
 Everything is a pure function of :class:`GeoTopologyConfig` (the seed
 included): two calls with equal configs produce bitwise-identical

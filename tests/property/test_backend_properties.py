@@ -1,10 +1,10 @@
 """Property-based equivalence of the two P2(t) solves.
 
-The core invariant of the batched backend: solving a *single*
-subproblem through ``BatchedNewtonBackend`` (batch size 1, or the
-closed-form fast path) yields the same decision as the unbatched
-coupled ``sequential`` reference, on randomly generated networks,
-workloads and prices.
+The core invariants of the batched backend: on a star network its
+closed form yields the same decision as the coupled ``sequential``
+solve, and a network with a non-star component never builds the closed
+form and decides bitwise like ``sequential`` — on randomly generated
+networks, workloads and prices.
 """
 
 import numpy as np
@@ -28,9 +28,8 @@ def random_star(rng: np.random.Generator, n_tier1: int) -> CloudNetwork:
 
 
 def random_dense(rng: np.random.Generator, n_tier1: int) -> CloudNetwork:
-    """Two tier-2 clouds both serving every tier-1 cloud (one dense
-    component -> the batched backend's Newton path at batch size 1,
-    after the single-component bail is sidestepped by adding a star)."""
+    """Two tier-2 clouds both serving every tier-1 cloud (one dense,
+    non-star component), plus one star component."""
     tier2 = [
         Cloud(f"i{i}", float(rng.uniform(8.0, 25.0)), float(rng.uniform(0.5, 30.0)))
         for i in range(3)
@@ -41,8 +40,6 @@ def random_dense(rng: np.random.Generator, n_tier1: int) -> CloudNetwork:
         for j in range(n_tier1)
         for i in (0, 1)
     ]
-    # One extra star edge so the network has >1 component and the dense
-    # block genuinely runs through the batched Newton solve.
     edges.append(
         SLAEdge(2, n_tier1, float(rng.uniform(3.0, 12.0)), float(rng.uniform(0.5, 20.0)))
     )
@@ -65,8 +62,7 @@ def solve_both(net: CloudNetwork, rng: np.random.Generator):
     out = []
     for backend in ("sequential", "batched"):
         sub = RegularizedSubproblem(net, SubproblemConfig(backend=backend))
-        alloc, _ = sub.solve_reduced(lam, tier2_price, link_price, prev)
-        out.append(alloc)
+        out.append(sub.solve_reduced(lam, tier2_price, link_price, prev))
     return out
 
 
@@ -84,7 +80,7 @@ def assert_same_decision(net: CloudNetwork, seq: Allocation, bat: Allocation):
 def test_single_star_batch_equals_unbatched(seed, n_tier1):
     rng = np.random.default_rng(seed)
     net = random_star(rng, n_tier1)
-    seq, bat = solve_both(net, rng)
+    (seq, _), (bat, _) = solve_both(net, rng)
     assert_same_decision(net, seq, bat)
 
 
@@ -93,5 +89,7 @@ def test_single_star_batch_equals_unbatched(seed, n_tier1):
 def test_single_dense_block_batch_equals_unbatched(seed, n_tier1):
     rng = np.random.default_rng(seed)
     net = random_dense(rng, n_tier1)
-    seq, bat = solve_both(net, rng)
-    assert_same_decision(net, seq, bat)
+    sub = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
+    assert sub._batched is None
+    (_, v_seq), (_, v_bat) = solve_both(net, rng)
+    assert np.array_equal(v_seq, v_bat)

@@ -292,23 +292,3 @@ class TestDescribeAndFiles:
         path.write_text('{"schema": "other", "metrics": []}', encoding="utf-8")
         with pytest.raises(ValueError, match="schema"):
             load_snapshot_json(path)
-
-
-class TestFamilyValues:
-    def test_scalar_family_read(self):
-        reg = MetricsRegistry()
-        reg.counter("ops_total", help="", op="hit").inc(3)
-        reg.counter("ops_total", help="", op="miss").inc(1)
-        values = {
-            labels["op"]: value for labels, value in reg.family_values("ops_total")
-        }
-        assert values == {"hit": 3.0, "miss": 1.0}
-
-    def test_unknown_family_is_empty(self):
-        assert MetricsRegistry().family_values("nope") == []
-
-    def test_histogram_family_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat", help="").observe(1.0)
-        with pytest.raises(ValueError, match="histogram"):
-            reg.family_values("lat")
