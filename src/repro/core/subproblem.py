@@ -303,13 +303,45 @@ class RegularizedSubproblem:
         interior even when demand rose past the previous decision's
         cover, where the fixed blend ``0.9 warm + 0.1 cand`` is not.
         """
-        if not (
-            np.all(np.isfinite(warm))
-            and np.all(warm >= prog.lb)
-            and np.all(warm <= prog.ub)
-        ):
+        if not RegularizedSubproblem._in_box(prog, warm):
             return None
         return min(0.9, 0.9 * prog.max_step(cand, warm - cand))
+
+    @staticmethod
+    def _in_box(prog: SmoothConvexProgram, v: np.ndarray) -> bool:
+        return bool(
+            np.all(np.isfinite(v)) and np.all(v >= prog.lb) and np.all(v <= prog.ub)
+        )
+
+    def _repaired(self, warm: np.ndarray, workload: np.ndarray) -> np.ndarray:
+        """The previous decision ``warm`` (in the box), repaired for this
+        slot's demand.
+
+        Each tier-1 cloud's split ``s`` is scaled up only where the new
+        ``lambda_j`` needs it, to 1 % above it, and kept 1 % inside the
+        link caps.  ``y`` and ``X`` keep their previous values, lifted to
+        at least 1e-4 of the way from ``s`` and ``S_i`` to the caps and
+        held 1 % of that distance inside them.  The result is strictly
+        interior unless demand outgrew the previous decision (a cover or
+        ``s <= X`` row is then violated).
+        """
+        net = self.network
+        margin, lift = 1e-2, 1e-4
+        B, C = net.edge_capacity, net.tier2_capacity
+        X, y, s = warm[self.sl_X], warm[self.sl_y], warm[self.sl_s]
+        need = np.asarray(workload, dtype=float) * (1.0 + margin)
+        cover = net.aggregate_tier1(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grow = np.where((cover < need) & (cover > 0), need / cover, 1.0)
+        s = np.minimum(s * grow[net.edge_j], B * (1.0 - margin))
+        S_i = net.aggregate_tier2(s)
+        v = np.empty(self.n_vars)
+        v[self.sl_s] = s
+        v[self.sl_y] = np.clip(y, s + lift * (B - s), B - margin * (B - s))
+        v[self.sl_X] = np.minimum(
+            np.clip(X, S_i + lift * (C - S_i), C - margin * (C - S_i)), C
+        )
+        return v
 
     # ------------------------------------------------------------------
     def solve(
@@ -343,11 +375,12 @@ class RegularizedSubproblem:
         every other case runs :meth:`_solve_reduced_coupled`.
 
         ``warm`` may be the previous slot's reduced solution: decisions
-        change slowly, so the barrier starts on the segment from the
-        interior candidate toward it, as far as the ratio test allows
-        (at most 0.9 of the way; see :meth:`_warm_theta`), and begins
-        the path at ``tau = 1e3`` (results identical to solver
-        tolerance).
+        change slowly, so the barrier starts from it, repaired for this
+        slot's demand (:meth:`_repaired`), and begins the path at
+        ``tau = 1e3`` (results identical to solver tolerance).  Where
+        demand outgrew the previous decision and the repaired point is
+        not strictly interior, the start is the ratio-test step from the
+        interior candidate toward it (:meth:`_warm_theta`).
 
         ``probe`` is an optional
         :class:`~repro.engine.stats.StatsProbe`-shaped recorder (any
@@ -386,12 +419,18 @@ class RegularizedSubproblem:
         tau0 = None
         warm_attempted = warm is not None and cand is not None
         warm_used = False
-        if warm_attempted:
-            theta = self._warm_theta(prog, warm, cand)
-            start = None if theta is None else cand + theta * (warm - cand)
-            # The ratio test keeps the start interior; the check guards
-            # round-off when cand itself sits within ~1e-12 of a row.
-            if start is not None and self._strictly_interior(prog, start):
+        if warm_attempted and self._in_box(prog, warm):
+            # The repaired previous decision when it is strictly interior,
+            # else the ratio-test step from cand toward it.
+            start = self._repaired(warm, workload)
+            interior = self._strictly_interior(prog, start)
+            if not interior:
+                theta = self._warm_theta(prog, start, cand)
+                start = cand + theta * (start - cand)
+                # The ratio test keeps the start interior; the check
+                # guards round-off when cand sits within ~1e-12 of a row.
+                interior = self._strictly_interior(prog, start)
+            if interior:
                 v0 = start
                 warm_used = True
                 tau0 = _WARM_TAU0

@@ -21,7 +21,8 @@ ways, chosen per program:
   fixed pattern, so ``H`` is solved in closed form: scalar Schur steps
   for ``y`` and ``X``, one symmetric rank-one update per tier-1 cloud
   for the cover rows, and an I x I scaled capacitance for the
-  ``s <= X`` rows, followed by one step of iterative refinement.  On
+  ``s <= X`` rows, followed by one step of iterative refinement when
+  the first solve's residual is above rounding.  On
   the paper topology at k=2 this replaces a dense 210x210 factorization
   per step by one 18x18 Cholesky and O(E I) vectorised passes, and
   reads no matrix ``A``.
@@ -55,6 +56,15 @@ also stops once the decrease a Newton step predicts is below the
 rounding of ``phi`` itself: past that point the Armijo test can only
 accept noise, and the loop used to spend up to ``_MAX_NEWTON`` steps of
 ~15 backtracks each without moving.
+
+Only the last centering needs that precision.  A centering whose
+``tau`` provably cannot end the solve — its gap bound ``m/tau`` exceeds
+the tolerance even against the largest ``|f|`` a centered point can
+have, bounded through :meth:`SeparableObjective.lower_bound` — stops
+at Newton decrement^2 <= ``_CENTER_DEC_SQ``; the path then reaches the
+same final ``tau`` as with every centering tight, and centers that one
+tightly.  ``phi`` is evaluated once per Newton step: the accepted trial
+point's value is carried into the next step.
 """
 
 from __future__ import annotations
@@ -78,12 +88,16 @@ from repro.solvers.convex import (
 _DENSE_NNZ_THRESHOLD = 2_000_000  # m*n above this stays sparse
 # A dense program that carries a P2NewtonSystem takes the closed-form
 # Newton solve only from this many variables up; below it the solve's
-# fixed ~85 us of vectorised passes outweighs the dense O(n^3) it
-# replaces.  Whole Newton step, paper topology, 2-vCPU host, 1 BLAS
-# thread, closed-form vs dense: 3x5 k=1 (n=13) 88 vs 52 us; 6x12 k=2
-# (n=54) 93 vs 51 us; 9x20 k=2 (n=89) 87 vs 90 us; 9x24 k=2 (n=105) 87
-# vs 119 us; 18x48 k=2 (n=210) 108 vs 617 us; 18x48 k=3 (n=306) 135 vs
-# 1,441 us.  The sparse workspace always takes the closed-form solve.
+# fixed cost of vectorised passes outweighs the dense O(n^3) it
+# replaces.  Whole Newton step (``newton_step``) over the last 40 path
+# points of a 6-slot paper-topology chain, best of 15 passes, 2-vCPU
+# shared host, 1 BLAS thread, closed-form (refined on demand) vs dense:
+# 3x5 k=1 (n=13) 143 vs 49 us; 6x12 k=2 (n=54) 147 vs 79 us; 9x20 k=2
+# (n=89) 159 vs 146 us; 9x24 k=2 (n=105) 170 vs 199 us; 12x30 k=2
+# (n=132) 177 vs 326 us; 18x48 k=2 (n=210) 206 vs 927 us; 18x48 k=3
+# (n=306) 244 vs 2,124 us.  The crossover stays between n=89 and
+# n=105, where it was with the refinement always run.  The sparse
+# workspace always takes the closed-form solve.
 _STRUCTURED_MIN_VARS = 90
 # Sparse A^T D A structure reuse stores one entry per nonzero product
 # A_ki * A_kj; above this many the one-time memory cost outweighs the
@@ -102,6 +116,14 @@ _WARM_TAU0 = 1e3
 _TAU_MU = 20.0
 _TOL = 1e-7
 _MAX_NEWTON = 80
+# A centering whose tau provably cannot end the solve stops once the
+# Newton decrement^2 is at most _CENTER_DEC_SQ; within it phi_tau is at
+# most that far above its minimum (Boyd & Vandenberghe 9.6.3), which is
+# also the bound a line-search stall must meet to be accepted.
+_CENTER_DEC_SQ = 0.25
+# The structured Newton solve refines its direction only when the first
+# solve's residual exceeds this fraction of the gradient (max norms).
+_REFINE_TOL = 1e-12
 
 
 def _row_pairs(A: sp.csr_matrix, rows: np.ndarray):
@@ -162,10 +184,11 @@ class P2NewtonSystem:
        scaled capacitance ``C = I + V^T V`` (I x I, eigenvalues >= 1) is
        factored by one Cholesky.
 
-    One step of iterative refinement follows, its residual formed from
-    the row structure by ``bincount`` over ``edge_i``/``edge_j``; no
-    matrix ``A`` is read, so the same solve serves the dense and the
-    sparse workspace.  Everything but ``potrf``/``potrs`` is O(E I).
+    One step of iterative refinement follows when the residual, formed
+    from the row structure by ``bincount`` over ``edge_i``/``edge_j``,
+    exceeds ``_REFINE_TOL`` of the gradient; no matrix ``A`` is read,
+    so the same solve serves the dense and the sparse workspace.
+    Everything but ``potrf``/``potrs`` is O(E I).
     """
 
     def __init__(
@@ -256,7 +279,9 @@ class P2NewtonSystem:
             neg_grad = -grad
             dv = self._apply(factors, neg_grad)
             res = neg_grad - hdiag * dv - self.rmatvec(inv2 * self.matvec(dv))
-            dv += self._apply(factors, res)
+            # Refine only a solve that left more than rounding behind.
+            if np.abs(res).max() > _REFINE_TOL * np.abs(grad).max():
+                dv += self._apply(factors, res)
             return dv
         finally:
             if fact_out is not None:
@@ -635,15 +660,19 @@ def barrier_solve(
 
     ``v0`` may be any point; if it is not strictly interior a phase-I
     LP supplies one.  ``tau0`` is where the path starts (default
-    ``_TAU0``).  Raises :class:`ConvexSolverError` when Newton fails
-    early on the path (the caller then falls back to trust-constr); a
-    line-search stall deep along the path — where the remaining gap is
-    already below tolerance-sized — is accepted.  A centering that runs
-    out of ``_MAX_NEWTON`` steps never ends the solve: its point is not
-    centered, so ``m / tau`` does not bound its gap, and the path goes
-    on from it.  A Newton direction that is not a descent direction
-    (non-finite, or a decrement below minus the centering tolerance)
-    raises :class:`NonDescentStep`, which is never read as centered.
+    ``_TAU0``); the ``tau`` it ends at is recorded on ``info`` and on
+    the ``barrier.solve`` span.  A line-search stall is accepted only
+    deep along the path (gap within 1e3 of the tolerance) and from near
+    the center (decrement^2 <= ``_CENTER_DEC_SQ``, so ``phi_tau`` is
+    within that of its minimum); any other stall, and any Newton
+    direction that is not a descent direction (non-finite, or a
+    decrement below minus the centering tolerance), raises
+    :class:`NonDescentStep`: a warm caller restarts cold, and
+    :meth:`SmoothConvexProgram.solve` falls back to trust-constr.  A
+    centering that runs out of ``_MAX_NEWTON`` steps never ends the
+    solve: its point is not centered, so ``m / tau`` does not bound its
+    gap, and the path goes on from it; if that reaches f's rounding,
+    :class:`ConvexSolverError` is raised.
     """
     ws = _workspace(prog)
     if ws.m_total == 0:
@@ -711,6 +740,12 @@ def barrier_solve(
             raise ConvexSolverError("phase-I point not strictly interior")
 
     tau = _TAU0 if tau0 is None else tau0
+    # f >= f_lo on the box and a centered point is within m/tau of the
+    # optimum, so its |f| is at most max(|f_lo|, |f(v)| + m/tau) for any
+    # interior v.  A tau whose m/tau exceeds _TOL relative to that bound
+    # cannot end the solve, and its centering may stop loosely.  An
+    # infinite bound gives f_lo = -inf: every centering stays tight.
+    f_lo = prog.objective.lower_bound(prog.lb, prog.ub)
     span = obs_tracing.span(
         "barrier.solve", n=prog.objective.n, newton_system=newton_system
     )
@@ -718,27 +753,41 @@ def barrier_solve(
     # replace — ``x + step*y`` — so trial points are bitwise unchanged).
     trial_v = np.empty_like(v)
     trial_s = np.empty(ws.b.shape[0])
+
+    def _end(outcome: str, **attrs) -> None:
+        span.set(newton_iters=newton_here, backtracks=backtracks, tau=tau, **attrs)
+        if info is not None:
+            info.tau = tau
+        _publish(outcome)
+
     with span:
         while True:
             # Centering: damped Newton on phi_tau.  The decrement target
             # scales with tau (phi_tau's natural scale).
             center_tol = 1e-9 * (1.0 + tau * 1e-4)
-            stalled = exhausted = False
+            gap = ws.m_total / tau
+            loose = gap > _TOL * (
+                1.0 + max(abs(f_lo), abs(prog.objective.value(v)) + gap)
+            )
+            stalled = exhausted = loosely = False
+            # phi at v: evaluated once per centering, then carried over
+            # from each accepted trial point.
+            phi0 = None
             for _ in range(_MAX_NEWTON):
                 slack = ws.slacks(v, buffered=True)
                 dv, dec_sq = ws.newton_step(v, tau, slack=slack, fact_out=fact_out)
                 newton_here += 1
                 if info is not None:
                     info.newton_iters += 1
-                phi0 = ws.phi(v, tau, slack=slack)
+                if phi0 is None:
+                    phi0 = ws.phi(v, tau, slack=slack)
                 floor = max(center_tol, _EPS * abs(phi0))
                 # A non-finite or clearly negative decrement means the
                 # Newton system was solved too inaccurately to give a
                 # descent direction: the step failed, and says nothing
                 # about centering.
                 if not dec_sq >= -floor:
-                    span.set(newton_iters=newton_here, backtracks=backtracks)
-                    _publish("non_descent")
+                    _end("non_descent")
                     raise NonDescentStep(
                         f"Newton direction is not a descent direction at "
                         f"tau={tau:.2e} (decrement^2 {dec_sq:.2e})"
@@ -748,6 +797,9 @@ def barrier_solve(
                 # phi's own rounding: no step could then show progress,
                 # and the Armijo test would only accept rounding noise.
                 if dec_sq / 2.0 <= floor:
+                    break
+                if loose and dec_sq <= _CENTER_DEC_SQ:
+                    loosely = True
                     break
                 if has_rows:
                     if ws.dense:
@@ -777,33 +829,42 @@ def barrier_solve(
                 # trial_v; adopt it and recycle the old ``v`` array as the
                 # next trial scratch.
                 v, trial_v = trial_v, v
+                phi0 = trial_phi
             else:
                 exhausted = True
 
-            gap = ws.m_total / tau
+            if loosely:
+                tau *= _TAU_MU
+                continue
             scale = 1.0 + abs(prog.objective.value(v))
             if not exhausted:
-                # A centered point is within m/tau of the optimum; a
-                # line-search stall is accepted late on the path, where
-                # that bound is already modest.
-                if gap <= _TOL * scale or (stalled and gap <= 1e3 * _TOL * scale):
-                    span.set(newton_iters=newton_here, backtracks=backtracks)
-                    _publish("converged")
+                # A centered point is within m/tau of the optimum.  A
+                # line-search stall is accepted only late on the path and
+                # from near the center, where phi_tau is within dec^2 of
+                # its minimum.
+                if stalled:
+                    if dec_sq <= _CENTER_DEC_SQ and gap <= 1e3 * _TOL * scale:
+                        _end("converged", stalled=True)
+                        return v
+                    _end("stalled", stalled=True)
+                    raise NonDescentStep(
+                        f"Newton stalled at tau={tau:.2e} (decrement^2 "
+                        f"{dec_sq:.2e}, gap {gap:.2e}, scale {scale:.2e})"
+                    )
+                if gap <= _TOL * scale:
+                    _end("converged")
                     return v
-                if not stalled:
-                    tau *= _TAU_MU
-                    continue
-            elif gap > _EPS * scale:
+                tau *= _TAU_MU
+                continue
+            if gap > _EPS * scale:
                 # Out of steps before centering: m/tau bounds nothing at
                 # this point, so it must not end the solve.  Follow the
                 # path on from it while m/tau is still above f's rounding.
                 tau *= _TAU_MU
                 continue
-            # Stalled early on the path, or never centered: report
-            # failure so the caller can fall back.
-            span.set(newton_iters=newton_here, backtracks=backtracks, stalled=True)
-            _publish("stalled")
+            # Never centered: report failure so the caller can fall back.
+            _end("stalled", stalled=True)
             raise ConvexSolverError(
-                f"Newton {'stalled' if stalled else 'did not center'} at "
-                f"tau={tau:.2e} (gap {gap:.2e}, scale {scale:.2e})"
+                f"Newton did not center at tau={tau:.2e} "
+                f"(gap {gap:.2e}, scale {scale:.2e})"
             )

@@ -49,7 +49,8 @@ class ConvexSolverError(RuntimeError):
 
 
 class NonDescentStep(ConvexSolverError):
-    """The barrier's Newton direction was not a descent direction.
+    """The barrier's Newton step failed to descend: the direction was not
+    a descent direction, or its line search stalled away from the center.
 
     Raised out of a warm-started :meth:`SmoothConvexProgram.solve`
     (``tau0`` given) instead of falling back, so the caller can restart
@@ -83,6 +84,9 @@ class SolveInfo:
     fallback:
         True when the requested backend failed and a fallback backend
         produced the result.
+    tau:
+        The barrier parameter the last barrier run ended at (0.0 if the
+        barrier never ran).
     """
 
     backend: str = ""
@@ -91,6 +95,7 @@ class SolveInfo:
     fact_time_s: float = 0.0
     newton_system: str = ""
     fallback: bool = False
+    tau: float = 0.0
 
 
 @dataclass
@@ -337,6 +342,29 @@ class SeparableObjective:
             np.divide(self._f_w, u, out=u)
             self._scatter_add(h, u)
         return h
+
+    def lower_bound(self, lb: np.ndarray, ub: np.ndarray) -> float:
+        """A lower bound on the objective over the box ``[lb, ub]``.
+
+        The sum of each term's own minimum there: ``min(c lb, c ub)`` per
+        variable for the linear part, and each entropic term's value at
+        its anchor clipped to the box (its minimizer).  ``-inf`` when the
+        linear part is unbounded below on the box.
+        """
+        c = self.linear
+        with np.errstate(invalid="ignore"):
+            lin = np.where(c > 0, c * lb, np.where(c < 0, c * ub, 0.0))
+        total = self.constant + float(np.sum(lin))
+        if not np.isfinite(total):
+            return -np.inf
+        for term in self.entropic:
+            idx = term.indices
+            vk = np.clip(term.ref, lb[idx], ub[idx])
+            r = term.ref + term.eps
+            total += float(np.sum(
+                term.weight * ((vk + term.eps) * np.log1p((vk - term.ref) / r) - vk)
+            ))
+        return total
 
     def _scatter_add(self, out: np.ndarray, contrib: np.ndarray) -> None:
         if self._f_slice is not None:

@@ -25,7 +25,9 @@ from repro.model.costs import evaluate_cost
 from repro.model.feasibility import check_trajectory
 from repro.solvers.backends import BatchedNewtonBackend
 from repro.solvers.kkt import first_order_certificate
+from repro.topology.builder import build_paper_instance
 from repro.topology.generate import GeoTopologyConfig, generate_topology
+from repro.workloads.wikipedia import WikipediaLikeWorkload
 
 from conftest import make_instance, make_network
 
@@ -229,6 +231,13 @@ class TestUncenteredCentering:
         # centering's Newton budget without centering; accepting that
         # point left f 3,415 and 178 above the optimum.
         assert_warm_chain_matches_cold(geo_k2_instance(n_regions=24, horizon=3))
+
+    def test_paper_k2_warm_chain_matches_cold_objective(self):
+        # The paper topology (18 x 48, k = 2, n = 210): warm slots start
+        # from the repaired previous decision and center loosely until
+        # the tau that ends the solve.
+        trace = WikipediaLikeWorkload(horizon=8, seed=11).generate()
+        assert_warm_chain_matches_cold(build_paper_instance(trace, k=2))
 
 
 class TestSparseWorkspace:

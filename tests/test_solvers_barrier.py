@@ -243,6 +243,30 @@ class TestStructuredNewtonDirection:
             captured.append((A, hdiag, grad, inv2, d_s))
         self._check(captured)
 
+    @pytest.mark.parametrize("spread,applies", [(0.0, 1), (16.0, 2)])
+    def test_refinement_only_when_the_residual_asks(self, monkeypatch, spread, applies):
+        """A well-scaled system is solved once; row weights spanning 16
+        decades leave a residual above ``_REFINE_TOL`` and take the
+        refinement step.  Both directions solve the Newton equation."""
+        edge_i = np.array([0, 1, 1, 2, 0])
+        edge_j = np.array([0, 0, 1, 1, 3])
+        system = barrier_mod.P2NewtonSystem(4, 4, edge_i, edge_j)
+        rng = np.random.default_rng(0)
+        hdiag = rng.uniform(0.1, 10.0, system.n)
+        inv2 = 10.0 ** rng.uniform(-spread / 2, spread / 2, system.m)
+        grad = rng.normal(size=system.n)
+        calls = []
+        original = barrier_mod.P2NewtonSystem._apply
+
+        def counting(self, factors, f):
+            calls.append(f)
+            return original(self, factors, f)
+
+        monkeypatch.setattr(barrier_mod.P2NewtonSystem, "_apply", counting)
+        d_s = system.solve(hdiag, grad, inv2, None)
+        assert len(calls) == applies
+        self._check([(_layout_matrix(system), hdiag, grad, inv2, d_s)])
+
     def test_row_layout_on_paper_k2(self):
         """The subproblem builds exactly the rows the system assumes."""
         inst = _paper(2)
@@ -347,3 +371,107 @@ class TestNewtonSystemObservability:
         assert "solver_factorization_seconds" in names
         # No step needed the dense factorization on this slot.
         assert "solver_newton_dense_steps_total" not in names
+
+
+def _slot(inst, t, prev):
+    return (inst.workload[t], inst.tier2_price[t], inst.link_price[t], prev)
+
+
+class TestLooseCentering:
+    """Centerings whose tau cannot end the solve stop at decrement^2 <=
+    ``_CENTER_DEC_SQ``; the final tau and its tight centering are those
+    of the all-tight schedule (``_CENTER_DEC_SQ = 0``)."""
+
+    def test_lower_bound_is_below_the_optimum(self):
+        inst = _paper(2)
+        sub = RegularizedSubproblem(inst.network, SubproblemConfig())
+        prog = sub.build(*_slot(inst, 0, Allocation.zeros(inst.network.n_edges)))
+        v = prog.solve()
+        f_lo = prog.objective.lower_bound(prog.lb, prog.ub)
+        assert np.isfinite(f_lo) and f_lo <= prog.objective.value(v)
+
+    def test_infinite_bound_gives_minus_infinity(self):
+        n = 3
+        obj = SeparableObjective(
+            n, np.array([1.0, 0.0, -1.0]),
+            [EntropicTerm(np.arange(n), 1.0, 0.1, np.ones(n))],
+        )
+        with np.errstate(all="raise"):
+            assert obj.lower_bound(np.full(n, -np.inf), np.full(n, 2.0)) == -np.inf
+            assert obj.lower_bound(np.zeros(n), np.full(n, np.inf)) == -np.inf
+            # The zero-cost variable contributes 0, not nan, on an open box.
+            lo = obj.lower_bound(np.array([0.0, -np.inf, 0.0]), np.array([np.inf, np.inf, 2.0]))
+        assert lo == pytest.approx(-2.0 - 3.0)
+
+    def test_paper_k2_warm_chain_ends_at_the_tight_schedule_tau(self, monkeypatch):
+        inst = _paper(2, horizon=8)
+        net = inst.network
+        sub = RegularizedSubproblem(net, SubproblemConfig())
+        prev, warm = Allocation.zeros(net.n_edges), None
+        loose_iters = tight_iters = 0
+        for t in range(inst.horizon):
+            args = _slot(inst, t, prev)
+            # The same slot from the same start, every centering tight.
+            with monkeypatch.context() as m:
+                m.setattr(barrier_mod, "_CENTER_DEC_SQ", 0.0)
+                tight = RegularizedSubproblem(net, SubproblemConfig())
+                tight.solve_reduced(*args, warm)
+                tight_info = tight._prog.last_info
+            alloc, v = sub.solve_reduced(*args, warm)
+            info = sub._prog.last_info
+            assert info.backend == "barrier" and info.tau > 0.0, t
+            assert info.tau == tight_info.tau, (t, info.tau, tight_info.tau)
+            loose_iters += info.newton_iters
+            tight_iters += tight_info.newton_iters
+            prev, warm = alloc, v
+        assert loose_iters < tight_iters
+
+    def test_golden_instance_solves_end_at_the_tight_schedule_tau(self, monkeypatch):
+        from repro.core import RegularizedOnline
+        from repro.obs import tracing as obs_tracing
+
+        inst = make_instance(make_network(), horizon=10, seed=7)
+
+        def final_taus():
+            tracer = obs_tracing.Tracer()
+            with obs_tracing.use(tracer):
+                RegularizedOnline(SubproblemConfig(epsilon=1e-2)).run(inst)
+            return [s["attrs"]["tau"] for s in tracer.spans if s["name"] == "barrier.solve"]
+
+        loose = final_taus()
+        monkeypatch.setattr(barrier_mod, "_CENTER_DEC_SQ", 0.0)
+        assert len(loose) == inst.horizon
+        assert loose == final_taus()
+
+
+class TestStallAcceptance:
+    """A line-search stall is accepted only from near the center."""
+
+    def test_stall_far_from_center_restarts_and_falls_back(self, monkeypatch):
+        # With every Armijo trial rejected the warm solve of slot 2 stalls
+        # on its first Newton step, decrement^2 far above
+        # _CENTER_DEC_SQ; accepting it ended 0.4 % above the optimum.
+        from repro.obs import metrics
+
+        inst = _paper(2)
+        net = inst.network
+        sub = RegularizedSubproblem(net, SubproblemConfig())
+        prev, warm = Allocation.zeros(net.n_edges), None
+        for t in range(2):
+            prev, warm = sub.solve_reduced(*_slot(inst, t, prev), warm)
+        args = _slot(inst, 2, prev)
+        _, v_cold = RegularizedSubproblem(net, SubproblemConfig()).solve_reduced(*args)
+        monkeypatch.setattr(barrier_mod, "_ARMIJO_ALPHA", 1e300)
+        with metrics.use() as reg:
+            _, v = sub.solve_reduced(*args, warm)
+        info = sub._prog.last_info
+        assert info.fallback and info.backend == "trust-constr"
+        counts = {
+            (e["name"], e["labels"].get("outcome")): e.get("value")
+            for e in reg.snapshot()["metrics"]
+        }
+        assert counts[("subproblem_warm_starts_total", "restart")] == 1
+        assert counts[("solver_solves_total", "stalled")] == 2
+        prog = sub.build(*args)
+        f, f_cold = prog.objective.value(v), prog.objective.value(v_cold)
+        assert abs(f - f_cold) <= 1e-6 * abs(f_cold), (f, f_cold)
