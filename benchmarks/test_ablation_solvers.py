@@ -26,16 +26,11 @@ def slot():
 
 
 def _solve(inst, net, t, backend, warm):
-    sub = RegularizedSubproblem(
-        net,
-        SubproblemConfig(
-            epsilon=1e-2, solver=SolverOptions(backend=backend, fallback=False)
-        ),
-    )
+    sub = RegularizedSubproblem(net, SubproblemConfig(epsilon=1e-2))
     prev = Allocation.zeros(net.n_edges)
     prog = sub.build(inst.workload[t], inst.tier2_price[t], inst.link_price[t], prev)
     v0 = sub._interior_candidate(prog, inst.workload[t]) if warm else None
-    v = prog.solve(v0=v0, options=sub.config.solver)
+    v = prog.solve(v0=v0, options=SolverOptions(backend=backend, fallback=False))
     return prog.objective.value(v)
 
 

@@ -26,54 +26,33 @@ from pathlib import Path
 from repro.evaluation import ExperimentScale, experiments
 
 
-def _registry(
-    scale: ExperimentScale,
-    jobs: "int | None" = None,
-    backend: str = "sequential",
-):
+def _registry(scale: ExperimentScale, jobs: "int | None" = None):
     windows = (2, 4, 6, 8, 10) if scale.full else (2, 4, 6)
     return {
         "table1": lambda a: experiments.table1_electricity(),
         "table2": lambda a: experiments.table2_bandwidth(),
         "fig4": lambda a: experiments.fig4_workloads(scale),
         "fig5": lambda a: experiments.fig5_cost_no_prediction(
-            scale, a.workload, jobs=jobs, backend=backend
+            scale, a.workload, jobs=jobs
         ),
         "fig6": lambda a: experiments.fig6_ratio_vs_epsilon(
-            scale, a.workload, jobs=jobs, backend=backend
+            scale, a.workload, jobs=jobs
         ),
         "fig7": lambda a: experiments.fig7_sla(
-            scale, a.workload, lcp_lookback=12, jobs=jobs, backend=backend
+            scale, a.workload, lcp_lookback=12, jobs=jobs
         ),
         "fig8": lambda a: experiments.fig8_prediction_window(
-            scale, a.workload, windows=windows, jobs=jobs, backend=backend
+            scale, a.workload, windows=windows, jobs=jobs
         ),
         "fig9": lambda a: experiments.fig9_noisy_prediction(
-            scale, a.workload, windows=windows, jobs=jobs, backend=backend
+            scale, a.workload, windows=windows, jobs=jobs
         ),
-        "fig10": lambda a: experiments.fig10_error_sweep(
-            scale, a.workload, jobs=jobs, backend=backend
-        ),
+        "fig10": lambda a: experiments.fig10_error_sweep(scale, a.workload, jobs=jobs),
         "thm23": lambda a: experiments.theorem23_adversarial(),
         "ntier": lambda a: experiments.ntier_generalization(
             horizon=48 if scale.full else 24
         ),
     }
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.core.subproblem import BACKENDS
-
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="sequential",
-        help="solver backend for the regularized subproblems: "
-        "'sequential' solves each slot as one coupled program (the "
-        "reference), 'batched' solves it in closed form when every SLA "
-        "component is a star (k=1) and as 'sequential' otherwise (same "
-        "decisions, faster at k=1; see docs/SOLVER_BACKENDS.md)",
-    )
 
 
 def _add_metrics_flag(parser: argparse.ArgumentParser) -> None:
@@ -145,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run sweep points on N worker processes (results and "
         "--stats output are identical to a serial run)",
     )
-    _add_backend_flag(run)
     _add_metrics_flag(run)
     _add_telemetry_flag(run)
 
@@ -235,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(byte-comparable across runs, e.g. bounded run + resume vs "
         "uninterrupted)",
     )
-    _add_backend_flag(serve)
     _add_metrics_flag(serve)
     _add_telemetry_flag(serve)
 
@@ -316,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve mode: write per-slot decisions as one .npy stack "
         "(byte-comparable across runs)",
     )
-    _add_backend_flag(scenario)
     _add_metrics_flag(scenario)
     _add_telemetry_flag(scenario)
     return parser
@@ -370,7 +346,6 @@ def _cmd_scenario(args) -> int:
     if args.mode == "eval":
         rows = scenarios.evaluate(
             built,
-            backend=args.backend,
             epsilon=args.epsilon,
             include_offline=True if args.offline else None,
         )
@@ -394,9 +369,7 @@ def _cmd_scenario(args) -> int:
             return 2
         instance = instance.slice(0, args.horizon)
     source = InstanceSource(instance)
-    controller = RegularizedOnline(
-        SubproblemConfig(epsilon=args.epsilon, backend=args.backend)
-    )
+    controller = RegularizedOnline(SubproblemConfig(epsilon=args.epsilon))
     try:
         report = ServeLoop(controller, source, ServeConfig()).run()
     except ValueError as exc:
@@ -450,9 +423,7 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    controller = RegularizedOnline(
-        SubproblemConfig(epsilon=args.epsilon, backend=args.backend)
-    )
+    controller = RegularizedOnline(SubproblemConfig(epsilon=args.epsilon))
     injector = None
     if args.inject_stall or args.inject_fail:
         injector = FaultInjector(
@@ -616,11 +587,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if getattr(args, "full", False)
         else ExperimentScale.from_env()
     )
-    registry = _registry(
-        scale,
-        jobs=getattr(args, "jobs", None),
-        backend=getattr(args, "backend", "sequential"),
-    )
+    registry = _registry(scale, jobs=getattr(args, "jobs", None))
     if args.experiment == "all":
         names = list(registry)
     elif args.experiment in registry:

@@ -27,7 +27,7 @@ The config type is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class RegularizedOnline:
     Parameters
     ----------
     config:
-        Subproblem parameters (epsilon, solver backend).  Defaults
+        Subproblem parameters (epsilon, epsilon').  Defaults
         match the paper's evaluation
         (``epsilon = epsilon' = 1e-2``).
 
@@ -135,26 +135,19 @@ class RegularizedOnline:
             "prev_y": state.prev.y.copy(),
             "prev_s": state.prev.s.copy(),
             "warm": None if state.warm is None else state.warm.copy(),
-            "backend": self.config.backend,
         }
 
     def restore_state(self, source, snapshot: dict) -> OnlineState:
         """Inverse of :meth:`export_state` (fresh subproblem structure).
 
-        When the snapshot records a solver backend (it always does for
-        checkpoints written by this version) the restored subproblem
-        uses it, overriding the config's — so resuming a checkpoint
-        continues bitwise-identically on the backend that wrote it even
-        if the resuming process was launched with a different default.
+        Other keys are ignored: snapshots from earlier versions also
+        record the solver ``backend`` they chose, which the graph now
+        decides.
         """
         net = source_network(source)
         warm = snapshot.get("warm")
-        config = self.config
-        recorded = snapshot.get("backend")
-        if recorded is not None and str(recorded) != config.backend:
-            config = replace(config, backend=str(recorded))
         return OnlineState(
-            subproblem=RegularizedSubproblem(net, config),
+            subproblem=RegularizedSubproblem(net, self.config),
             prev=Allocation(
                 snapshot["prev_x"], snapshot["prev_y"], snapshot["prev_s"]
             ),

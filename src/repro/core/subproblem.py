@@ -53,7 +53,7 @@ closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,11 +69,7 @@ from repro.solvers.convex import (
     NonDescentStep,
     SeparableObjective,
     SmoothConvexProgram,
-    SolverOptions,
 )
-
-#: The two ways to solve P2(t) (``SubproblemConfig.backend``).
-BACKENDS = ("sequential", "batched")
 
 
 @dataclass
@@ -87,31 +83,26 @@ class SubproblemConfig:
     epsilon_prime:
         The link regularization parameter; ``None`` means "same as
         ``epsilon``" (the paper's evaluation always sets them equal).
-    solver:
-        Options forwarded to the convex solver.
     backend:
-        How P2(t) is solved: ``"sequential"`` (the coupled barrier
-        solve, default) or ``"batched"`` (the closed form of eq. (6)
-        when every SLA component is a star, else the same coupled
-        solve; :mod:`repro.solvers.backends`).
+        Unused; kept only so that existing ``backend="batched"`` callers
+        still construct.  How P2(t) is solved is a fact about the graph
+        (:class:`RegularizedSubproblem`), and any other value raises.
     """
 
     epsilon: float = 1e-2
     epsilon_prime: float | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    backend: str = "sequential"
+    backend: str = "batched"
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be > 0")
         if self.epsilon_prime is not None and not (self.epsilon_prime > 0):
             raise ValueError("epsilon_prime must be > 0")
-        if self.backend not in BACKENDS:
-            # At config-construction time (CLI parse, checkpoint
-            # restore) instead of mid-run.
+        if self.backend != "batched":
             raise ValueError(
-                f"unknown solver backend {self.backend!r}; "
-                f"available: {', '.join(BACKENDS)}"
+                f"solver backend {self.backend!r}: the backend choice was "
+                "removed; P2(t) runs the closed form on all-star SLA graphs "
+                "and the coupled solve otherwise"
             )
 
     @property
@@ -127,6 +118,13 @@ class RegularizedSubproblem:
     instance of this class is reused across slots: per-slot data
     (prices, workload, previous allocation) enter through
     :meth:`solve`.
+
+    When every SLA component is a star
+    (:meth:`BatchedNewtonBackend.applies
+    <repro.solvers.backends.BatchedNewtonBackend.applies>`), slots are
+    solved by the closed form of eq. (6); any other graph, and any star
+    slot the closed form does not cover, runs the coupled barrier solve
+    (:meth:`_solve_reduced_coupled`).
     """
 
     def __init__(self, network: CloudNetwork, config: SubproblemConfig) -> None:
@@ -149,13 +147,11 @@ class RegularizedSubproblem:
         # Compiled on the first build(); see there.
         self._prog: "SmoothConvexProgram | None" = None
 
-        # The closed-form star solve; None solves every slot coupled,
-        # as does any graph with a non-star SLA component.
-        self._batched = (
-            BatchedNewtonBackend(self)
-            if config.backend == "batched" and BatchedNewtonBackend.applies(network)
-            else None
-        )
+        # The closed-form star solve; None (a non-star SLA component)
+        # solves every slot coupled.
+        self._batched = None
+        if BatchedNewtonBackend.applies(network):
+            self._batched = BatchedNewtonBackend(self)
 
     # ------------------------------------------------------------------
     # Constraint assembly
@@ -370,9 +366,9 @@ class RegularizedSubproblem:
     ) -> "tuple[Allocation, np.ndarray]":
         """Solve P2(t); also return the reduced solution vector.
 
-        ``config.backend == "batched"`` on an all-star SLA graph solves
-        through :class:`~repro.solvers.backends.BatchedNewtonBackend`;
-        every other case runs :meth:`_solve_reduced_coupled`.
+        An all-star SLA graph solves through
+        :class:`~repro.solvers.backends.BatchedNewtonBackend`; every
+        other graph runs :meth:`_solve_reduced_coupled`.
 
         ``warm`` may be the previous slot's reduced solution: decisions
         change slowly, so the barrier starts from it, repaired for this
@@ -406,10 +402,9 @@ class RegularizedSubproblem:
     ) -> "tuple[Allocation, np.ndarray]":
         """The reference path: one coupled barrier solve over all clouds.
 
-        This is both the ``sequential`` backend and the fallback the
-        ``batched`` one routes non-star graphs and the slots its closed
-        form does not cover through.  A warm-started solve that meets a
-        non-descent Newton step
+        It solves every slot of a graph with a non-star SLA component,
+        and the star slots the closed form does not cover.  A
+        warm-started solve that meets a non-descent Newton step
         (:class:`~repro.solvers.convex.NonDescentStep`) restarts once
         from the cold start, counted as warm-start outcome ``restart``.
         """
@@ -437,13 +432,13 @@ class RegularizedSubproblem:
         outcome = "cold" if warm is None else ("hit" if warm_used else "miss")
         with obs_tracing.span("subproblem.solve") as span:
             try:
-                v = prog.solve(v0=v0, options=self.config.solver, tau0=tau0)
+                v = prog.solve(v0=v0, tau0=tau0)
             except NonDescentStep:
                 # The warm path met a Newton system solved too
                 # inaccurately to descend; the cold path from the
                 # interior candidate is the fallback, taken once.
                 spent = prog.last_info.newton_iters
-                v = prog.solve(v0=cand, options=self.config.solver)
+                v = prog.solve(v0=cand)
                 prog.last_info.newton_iters += spent
                 warm_used = False
                 outcome = "restart"

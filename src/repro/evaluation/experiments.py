@@ -145,8 +145,7 @@ def _fig5_point(args) -> "tuple[tuple, dict[str, np.ndarray]]":
     """One Fig-5 grid point (a reconfiguration weight); picklable.
 
     The point payload carries the *full* :class:`SubproblemConfig`
-    (not a bare epsilon): solver backend and kernel flags must survive
-    process-pool pickling so ``--jobs N`` runs the identical per-point
+    (not a bare epsilon), so ``--jobs N`` runs the identical per-point
     work as a serial sweep.  Same pattern in every ``_fig*_point``.
     """
     scale, workload, b, config, k = args
@@ -183,11 +182,10 @@ def fig5_cost_no_prediction(
     epsilon: float = 1e-2,
     k: int = 1,
     jobs: "int | None" = None,
-    backend: str = "sequential",
 ) -> ExperimentResult:
     """Fig 5: greedy vs online vs offline, across reconfiguration prices."""
     scale = scale or ExperimentScale.from_env()
-    config = SubproblemConfig(epsilon=epsilon, backend=backend)
+    config = SubproblemConfig(epsilon=epsilon)
     points = parallel_map(
         _fig5_point,
         [(scale, workload, b, config, k) for b in recon_weights],
@@ -254,11 +252,10 @@ def fig6_ratio_vs_epsilon(
     recon_weights: "tuple[float, ...]" = (1e2, 1e3, 1e4),
     k: int = 1,
     jobs: "int | None" = None,
-    backend: str = "sequential",
 ) -> ExperimentResult:
     """Fig 6: empirical ratio vs epsilon, with the Theorem-1 bound."""
     scale = scale or ExperimentScale.from_env()
-    config = SubproblemConfig(backend=backend)
+    config = SubproblemConfig()
     rows = []
     for point_rows in parallel_map(
         _fig6_point,
@@ -312,11 +309,10 @@ def fig7_sla(
     epsilon: float = 1e-2,
     lcp_lookback: "int | None" = 24,
     jobs: "int | None" = None,
-    backend: str = "sequential",
 ) -> ExperimentResult:
     """Fig 7: total cost vs SLA size k, including the LCP-M baseline."""
     scale = scale or ExperimentScale.from_env()
-    config = SubproblemConfig(epsilon=epsilon, backend=backend)
+    config = SubproblemConfig(epsilon=epsilon)
     rows = parallel_map(
         _fig7_point,
         [(scale, workload, k, recon_weight, config, lcp_lookback) for k in ks],
@@ -381,11 +377,10 @@ def fig8_prediction_window(
     error: float = 0.0,
     seed: int = 7,
     jobs: "int | None" = None,
-    backend: str = "sequential",
 ) -> ExperimentResult:
     """Fig 8 (error=0) / Fig 9 (error=0.15): cost vs prediction window."""
     scale = scale or ExperimentScale.from_env()
-    config = SubproblemConfig(epsilon=epsilon, backend=backend)
+    config = SubproblemConfig(epsilon=epsilon)
     instance = make_instance(scale, workload, k=k, recon_weight=recon_weight)
     offline = run_algorithm("offline", OfflineOracle(), instance)
     online = run_algorithm("online", RegularizedOnline(config), instance)
@@ -448,11 +443,10 @@ def fig10_error_sweep(
     k: int = 1,
     seed: int = 7,
     jobs: "int | None" = None,
-    backend: str = "sequential",
 ) -> ExperimentResult:
     """Fig 10: cost vs prediction error at a fixed (short) window."""
     scale = scale or ExperimentScale.from_env()
-    config = SubproblemConfig(epsilon=epsilon, backend=backend)
+    config = SubproblemConfig(epsilon=epsilon)
     instance = make_instance(scale, workload, k=k, recon_weight=recon_weight)
     offline = run_algorithm("offline", OfflineOracle(), instance)
     online = run_algorithm("online", RegularizedOnline(config), instance)

@@ -27,9 +27,9 @@ should be small tuples of primitives/instances.
 * **Config travels in the payload.**  Worker processes must never
   reconstruct a :class:`~repro.core.subproblem.SubproblemConfig` from
   scattered scalars — a rebuilt config silently resets every field the
-  payload didn't carry (e.g. the solver backend) to its default,
-  so a ``--backend batched --jobs N`` sweep would quietly run the
-  sequential backend in its workers.  Point tuples therefore carry the
+  payload didn't carry to its default, so a ``--jobs N`` sweep would
+  quietly run other work than the serial one.  Point tuples therefore
+  carry the
   fully-constructed config object (it is a plain dataclass of scalars
   and pickles cheaply); workers at most ``dataclasses.replace`` the
   swept field.

@@ -77,17 +77,7 @@ def render_serve_events(events: "list[dict]") -> str:
 
     summary = summarize_events(events)
     paths = summary["paths"]
-    backend = next(
-        (
-            event["backend"]
-            for event in events
-            if event.get("event") in ("serve_start", "serve_resume")
-            and event.get("backend")
-        ),
-        None,
-    )
     summary_rows = [
-        *([("solver backend", backend)] if backend else []),
         ("slots", summary["slots"]),
         ("served", summary["slots"] - summary["unserved"]),
         ("unserved", summary["unserved"]),

@@ -26,7 +26,7 @@ size       regions x edge clouds    horizon
 
 All two-tier scenarios stay in the ``k = 1`` single-PoP-per-region
 regime: the SLA graph is a star forest with one component per region,
-which is exactly the class the batched backend solves in closed form
+which is exactly the class whose P2(t) is solved in closed form
 (docs/SOLVER_BACKENDS.md).  Every random draw flows through
 ``np.random.default_rng(seed)`` in a fixed order, so each
 ``(name, size, seed)`` triple reproduces its golden fingerprint.

@@ -15,7 +15,6 @@ from repro.scenarios.base import BuiltScenario
 
 def evaluate(
     built: BuiltScenario,
-    backend: str = "sequential",
     epsilon: float = 1e-2,
     include_offline: "bool | None" = None,
 ) -> "list[tuple]":
@@ -35,7 +34,7 @@ def evaluate(
         include_offline = built.size == "smoke"
 
     if built.instance is not None:
-        rows = _evaluate_two_tier(built, backend, epsilon, include_offline)
+        rows = _evaluate_two_tier(built, epsilon, include_offline)
     else:
         rows = _evaluate_ntier(built, epsilon, include_offline)
     online = next(total for name, total, *_ in rows if name == "online")
@@ -47,16 +46,14 @@ def evaluate(
     return rows
 
 
-def _evaluate_two_tier(built, backend, epsilon, include_offline):
+def _evaluate_two_tier(built, epsilon, include_offline):
     from repro.core.online import RegularizedOnline
     from repro.core.subproblem import SubproblemConfig
     from repro.evaluation.runner import OfflineOracle, run_suite
     from repro.offline.greedy import GreedyOneShot
 
     algorithms = {
-        "online": RegularizedOnline(
-            SubproblemConfig(epsilon=epsilon, backend=backend)
-        ),
+        "online": RegularizedOnline(SubproblemConfig(epsilon=epsilon)),
         "greedy": GreedyOneShot(),
     }
     if include_offline:

@@ -352,21 +352,11 @@ class ServeLoop:
         """Serve slots until the source is exhausted (or ``max_slots``)."""
         cfg = self.config
         start_t = self.session.t
-        # The solver backend actually in effect: a resumed session's
-        # subproblem may carry the checkpoint-recorded backend rather
-        # than the relaunched controller's configured one.
-        state_sub = getattr(self.session.state, "subproblem", None)
-        backend = getattr(
-            getattr(state_sub, "config", None),
-            "backend",
-            getattr(getattr(self.controller, "config", None), "backend", None),
-        )
         self.log.emit(
             "serve_resume" if start_t else "serve_start",
             t=start_t,
             schema=EVENT_SCHEMA,
             controller=self.controller.name,
-            backend=backend,
             source=repr(self.source),
             deadline_s=cfg.deadline_s,
             enforce=cfg.enforce if cfg.deadline_s is not None else None,

@@ -14,11 +14,8 @@ provides the two solver layers everything else is built on:
 * :mod:`repro.solvers.kkt` — first-order optimality verification used
   in tests;
 * :mod:`repro.solvers.backends` — the closed-form solve of P2(t) on an
-  all-star SLA graph (eq. (6)), the ``batched`` alternative to the
-  coupled ``sequential`` solve that
-  :class:`~repro.core.subproblem.SubproblemConfig` selects; every
-  other graph, and every slot the closed form does not cover, takes
-  the coupled solve.
+  all-star SLA graph (eq. (6)); every other graph, and every slot the
+  closed form does not cover, takes the coupled barrier solve.
 
 Importing the package pins numpy's and scipy's bundled OpenBLAS to one
 thread (:mod:`repro.solvers.blas`), so decisions do not depend on the

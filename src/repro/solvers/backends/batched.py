@@ -16,20 +16,21 @@ and likewise for each link.  When *every* component is a star — the
 paper's default SLA size ``k = 1`` — the whole slot is one vectorized
 numpy pass with no Newton iterations at all.
 :class:`~repro.core.subproblem.RegularizedSubproblem` builds this
-backend for a ``backend="batched"`` config only on such a graph
-(:meth:`BatchedNewtonBackend.applies`); any other graph is solved by
-the coupled barrier, exactly as under ``sequential``.  A slot whose
-closed form does not hold (a link or cloud at capacity, a degenerate
+backend exactly on such a graph (:meth:`BatchedNewtonBackend.applies`);
+any other graph is solved by the coupled barrier.  A slot whose closed
+form does not hold (a link or cloud at capacity, a degenerate
 objective) is routed through that coupled solve too.
 
 Equivalence contract: tier-2 totals ``X``, link allocations ``y`` and
-hence every cost term agree with the sequential backend to solver
+hence every cost term agree with the coupled solve to solver
 tolerance (they are the unique optimum of a strictly convex
 objective).  The cover split ``s`` is *not* unique — the objective has
-no ``s`` term, so the sequential barrier returns the analytic center
-of the optimal face while this backend returns the minimal cover;
-neither the trajectory cost nor any later decision depends on the
-difference (the next slot's regularizers see only ``X`` and ``y``).
+no ``s`` term, so the coupled barrier returns the analytic center of
+the optimal face while the closed form returns the minimal cover;
+neither the online trajectory's cost nor its later decisions depend on
+the difference (the next slot's regularizers see only ``X`` and
+``y``).  RFHC's top-up repair under noisy forecasts does: it keeps the
+planned per-edge ``x`` and ``s`` as floors.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ class BatchedNewtonBackend:
             )
 
         # Slots the closed form does not cover go through the coupled
-        # solve, so behaviour (including infeasibility errors) matches
-        # the sequential backend exactly.
+        # solve, infeasibility errors included.
         if bool(np.any(lam_e >= ub_y)):
             return bail("star_link_at_capacity")
         if bool(np.any(self.wy_zero & (link_price == 0))):
@@ -168,7 +168,7 @@ class BatchedNewtonBackend:
         probe: Any,
         reason: str,
     ) -> "tuple[Any, np.ndarray]":
-        """Route the slot through the coupled sequential solve."""
+        """Route the slot through the coupled solve."""
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter(

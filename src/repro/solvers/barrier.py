@@ -35,7 +35,7 @@ ways, chosen per program:
   factorization is used.  It is also the fallback for a single
   structured step whose capacitance matrix Cholesky rejects.
 
-Hot-path structure (measured in ``benchmarks/perf/``): the barrier
+Hot-path structure (measured by ``perfbench/``): the barrier
 workspace is built once per program and cached on it — it precomputes
 ``A^T`` (contiguous, dense path), index arrays for the finite bounds,
 preallocated Hessian/scaled-row buffers reused across Newton

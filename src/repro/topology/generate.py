@@ -26,7 +26,7 @@ Placement model (the SIGMETRICS'25 CloudRouting PoP-map shape):
   // k`` connected components — exactly one when ``k ==
   pops_per_region`` (in particular the corpus's single-PoP regions).
   P2(t) separates exactly along these components; at ``k == 1`` each
-  is a star, which the batched solver backend solves in closed form.
+  is a star, and P2(t) is solved in closed form.
 
 Everything is a pure function of :class:`GeoTopologyConfig` (the seed
 included): two calls with equal configs produce bitwise-identical

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.model import Cloud, CloudNetwork, Instance, SLAEdge
+from repro.solvers.backends import BatchedNewtonBackend
+
+
+@contextmanager
+def coupled_only():
+    """Solve every P2(t) built inside the block with the coupled barrier.
+
+    Star graphs normally take the closed form; this is the reference
+    run the closed form is compared against.
+    """
+    with mock.patch.object(
+        BatchedNewtonBackend, "applies", staticmethod(lambda network: False)
+    ):
+        yield
 
 
 def make_network(

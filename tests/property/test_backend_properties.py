@@ -1,18 +1,24 @@
 """Property-based equivalence of the two P2(t) solves.
 
-The core invariants of the batched backend: on a star network its
-closed form yields the same decision as the coupled ``sequential``
-solve, and a network with a non-star component never builds the closed
-form and decides bitwise like ``sequential`` — on randomly generated
-networks, workloads and prices.
+The core invariants of the closed-form star solve: on a star network
+it yields the same decision as the coupled solve, and a network with a
+non-star component never builds the closed form and decides bitwise
+like a coupled-only run — on randomly generated networks, workloads
+and prices.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SubproblemConfig
-from repro.core.subproblem import RegularizedSubproblem
-from repro.model import Allocation, Cloud, CloudNetwork, SLAEdge
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from conftest import coupled_only  # noqa: E402
+
+from repro.core import SubproblemConfig  # noqa: E402
+from repro.core.subproblem import RegularizedSubproblem  # noqa: E402
+from repro.model import Allocation, Cloud, CloudNetwork, SLAEdge  # noqa: E402
 
 
 def random_star(rng: np.random.Generator, n_tier1: int) -> CloudNetwork:
@@ -58,12 +64,12 @@ def random_slot(rng: np.random.Generator, net: CloudNetwork):
 
 
 def solve_both(net: CloudNetwork, rng: np.random.Generator):
-    lam, tier2_price, link_price, prev = random_slot(rng, net)
-    out = []
-    for backend in ("sequential", "batched"):
-        sub = RegularizedSubproblem(net, SubproblemConfig(backend=backend))
-        out.append(sub.solve_reduced(lam, tier2_price, link_price, prev))
-    return out
+    """One slot solved coupled-only, then by the default dispatch."""
+    slot = random_slot(rng, net)
+    with coupled_only():
+        coupled = RegularizedSubproblem(net, SubproblemConfig())
+    default = RegularizedSubproblem(net, SubproblemConfig())
+    return [sub.solve_reduced(*slot) for sub in (coupled, default)]
 
 
 def assert_same_decision(net: CloudNetwork, seq: Allocation, bat: Allocation):
@@ -89,7 +95,7 @@ def test_single_star_batch_equals_unbatched(seed, n_tier1):
 def test_single_dense_block_batch_equals_unbatched(seed, n_tier1):
     rng = np.random.default_rng(seed)
     net = random_dense(rng, n_tier1)
-    sub = RegularizedSubproblem(net, SubproblemConfig(backend="batched"))
+    sub = RegularizedSubproblem(net, SubproblemConfig())
     assert sub._batched is None
     (_, v_seq), (_, v_bat) = solve_both(net, rng)
     assert np.array_equal(v_seq, v_bat)

@@ -1,6 +1,7 @@
 """Property-based end-to-end invariants of the online algorithm."""
 
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from conftest import make_instance, make_network  # noqa: E402
+from conftest import coupled_only, make_instance, make_network  # noqa: E402
 
 from repro.core import SubproblemConfig, RegularizedOnline, theorem1_ratio  # noqa: E402
 from repro.model import check_trajectory, evaluate_cost  # noqa: E402
@@ -71,10 +72,10 @@ def test_tier2_totals_never_spike_above_need(seed):
     k=st.integers(1, 2),
     edge_capacity=st.sampled_from([2.0, 5.0]),
     util=st.floats(0.3, 0.8),
-    backend=st.sampled_from(["sequential", "batched"]),
+    coupled=st.booleans(),
 )
 def test_decisions_satisfy_the_implied_hedging_rows(
-    seed, n_tier2, n_tier1, k, edge_capacity, util, backend
+    seed, n_tier2, n_tier1, k, edge_capacity, util, coupled
 ):
     """(3d) and (3e) are not built into P2(t); cover, ``s <= X``,
     ``s <= y`` and the caps imply them, so every decision meets them."""
@@ -86,7 +87,8 @@ def test_decisions_satisfy_the_implied_hedging_rows(
     per_tier2 = -(-n_tier1 // n_tier2)
     peak = util * min(k * edge_capacity, 10.0 / per_tier2) / 1.04
     inst = make_instance(net, horizon=4, seed=seed, peak=peak)
-    traj = RegularizedOnline(SubproblemConfig(backend=backend)).run(inst)
+    with coupled_only() if coupled else nullcontext():
+        traj = RegularizedOnline(SubproblemConfig()).run(inst)
     X = traj.tier2_totals(net)
     for t in range(inst.horizon):
         lam = inst.workload[t]

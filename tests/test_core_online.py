@@ -123,18 +123,27 @@ class TestDecayBehaviour:
 
 class TestBackends:
     def test_barrier_and_trust_constr_agree_end_to_end(self, small_instance):
+        """Chain P2(t) over six slots once per convex-solver backend."""
+        from repro.core.subproblem import RegularizedSubproblem
+        from repro.model import Trajectory
         from repro.solvers import SolverOptions
 
-        cfg_b = SubproblemConfig(
-            epsilon=1e-2, solver=SolverOptions(backend="barrier", fallback=False)
-        )
-        cfg_t = SubproblemConfig(
-            epsilon=1e-2, solver=SolverOptions(backend="trust-constr")
-        )
         short = small_instance.slice(0, 6)
-        cb = evaluate_cost(short, RegularizedOnline(cfg_b).run(short)).total
-        ct = evaluate_cost(short, RegularizedOnline(cfg_t).run(short)).total
-        assert cb == pytest.approx(ct, rel=1e-3)
+        net = short.network
+        costs = []
+        for options in (
+            SolverOptions(backend="barrier", fallback=False),
+            SolverOptions(backend="trust-constr"),
+        ):
+            sub = RegularizedSubproblem(net, SubproblemConfig(epsilon=1e-2))
+            prev, steps = Allocation.zeros(net.n_edges), []
+            for t in range(short.horizon):
+                lam = short.workload[t]
+                prog = sub.build(lam, short.tier2_price[t], short.link_price[t], prev)
+                prev = sub.split(prog.solve(options=options), lam)
+                steps.append(prev)
+            costs.append(evaluate_cost(short, Trajectory.from_steps(steps)).total)
+        assert costs[0] == pytest.approx(costs[1], rel=1e-3)
 
 
 class TestStepAPI:

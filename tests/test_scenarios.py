@@ -70,8 +70,8 @@ class TestBuiltScenarios:
 
     @pytest.mark.parametrize("name", [s.name for s in TWO_TIER])
     def test_one_sla_component_per_region(self, name):
-        """The batched backend splits P2(t) along SLA components; the
-        generated corpus guarantees one per region."""
+        """P2(t) separates along SLA components; the generated corpus
+        guarantees one per region."""
         built = SMOKES[name]
         assert built.topology.sla_component_count() == built.topology.n_regions
 
@@ -118,7 +118,7 @@ class TestBuiltScenarios:
 
 class TestEvaluate:
     def test_two_tier_eval_orders_offline_online_greedy(self):
-        rows = evaluate(SMOKES["adversarial"], backend="batched")
+        rows = evaluate(SMOKES["adversarial"])
         by_name = {name: total for name, total, *_ in rows}
         assert set(by_name) == {"offline", "online", "greedy"}
         # The adversarial regime is built to punish greedy.
@@ -144,7 +144,7 @@ class TestServePath:
 
         built = SMOKES["price-spike"]
         report = ServeLoop(
-            RegularizedOnline(SubproblemConfig(epsilon=1e-2, backend="batched")),
+            RegularizedOnline(SubproblemConfig(epsilon=1e-2)),
             InstanceSource(built.instance),
             ServeConfig(),
         ).run()
@@ -191,9 +191,7 @@ class TestScenarioCLI:
     def test_run_eval_smoke(self, capsys):
         from repro.cli import main
 
-        assert main(
-            ["scenario", "run", "flash-crowd", "--backend", "batched"]
-        ) == 0
+        assert main(["scenario", "run", "flash-crowd"]) == 0
         out = capsys.readouterr().out
         assert "fingerprint:" in out and "greedy" in out
 
@@ -220,7 +218,7 @@ class TestScenarioCLI:
         decisions = tmp_path / "d.npy"
         assert main(
             ["scenario", "run", "geo-diurnal", "--mode", "serve",
-             "--horizon", "3", "--backend", "batched",
+             "--horizon", "3",
              "--decisions", str(decisions)]
         ) == 0
         out = capsys.readouterr().out
@@ -241,7 +239,6 @@ class TestFullScale:
     def test_full_scale_eval_without_offline(self):
         rows = evaluate(
             get_scenario("adversarial").build("full"),
-            backend="batched",
             include_offline=False,
         )
         by_name = {name: total for name, total, *_ in rows}

@@ -327,9 +327,7 @@ class TestJournal:
         # serve quickly.
         network = make_network(k=1)
         instance = make_instance(network, horizon=500, seed=9)
-        controller = RegularizedOnline(
-            SubproblemConfig(epsilon=1e-2, backend="batched")
-        )
+        controller = RegularizedOnline(SubproblemConfig(epsilon=1e-2))
         path = tmp_path / "ck.npz"
         config = ServeConfig(checkpoint_path=path, checkpoint_every=1)
         ServeLoop(controller, instance, replace(config, max_slots=10)).run()

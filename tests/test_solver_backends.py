@@ -1,37 +1,40 @@
-"""Tests for the two ways to solve P2(t) (``SubproblemConfig.backend``).
+"""Tests for the P2(t) solve dispatch: closed form on star graphs,
+the coupled barrier everywhere else.
 
-The acceptance bar: the ``batched`` closed-form star solve
+The acceptance bar: the closed-form star solve
 (``BatchedNewtonBackend``) is *decision-identical* to the coupled
-``sequential`` solve — tier-2 totals, link allocations and costs agree
-to solver tolerance on every golden scenario — while the cover split
-``s`` may differ (it is not unique; see the backends doc).  A graph
-with a non-star SLA component never builds the closed form, so under
-``batched`` it decides bitwise like ``sequential``.  The coupled solve
-itself is checked against a cold solve of the same slot and the
-first-order certificate.
+solve — tier-2 totals, link allocations and costs agree to solver
+tolerance on every golden scenario — while the cover split ``s`` may
+differ (it is not unique; see the backends doc).  A graph with a
+non-star SLA component never builds the closed form and decides
+bitwise like a coupled-only run.  The coupled solve itself is checked
+against a cold solve of the same slot and the first-order certificate.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core import RegularizedOnline, SubproblemConfig
-from repro.core.subproblem import BACKENDS, RegularizedSubproblem
+from repro.core.subproblem import RegularizedSubproblem
 from repro.evaluation.experiments import make_instance as make_fig_instance
 from repro.evaluation.scale import ExperimentScale
 from repro.model import Allocation, Cloud, CloudNetwork, Instance, SLAEdge
 from repro.model.costs import evaluate_cost
 from repro.model.feasibility import check_trajectory
 from repro.solvers.backends import BatchedNewtonBackend
+from repro.solvers.barrier import P2NewtonSystem
 from repro.solvers.kkt import first_order_certificate
 from repro.topology.builder import build_paper_instance
 from repro.topology.generate import GeoTopologyConfig, generate_topology
 from repro.workloads.wikipedia import WikipediaLikeWorkload
 
-from conftest import make_instance, make_network
+from conftest import coupled_only, make_instance, make_network
 
-# Decision-identity tolerances: the two backends follow different
+# Decision-identity tolerances: the two solves follow different
 # numerical paths to the same unique optimum of a strictly convex
 # objective, so they agree to solver tolerance, not bitwise.  Chained
 # over a trajectory the measured deviations are ~1e-5 (X), ~3e-3 (y).
@@ -46,11 +49,11 @@ def rel_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_both(instance, epsilon=1e-2):
-    out = {}
-    for backend in ("sequential", "batched"):
-        algo = RegularizedOnline(SubproblemConfig(epsilon=epsilon, backend=backend))
-        out[backend] = algo.run(instance)
-    return out["sequential"], out["batched"]
+    """A coupled-only run of ``instance`` and its default run."""
+    algo = RegularizedOnline(SubproblemConfig(epsilon=epsilon))
+    with coupled_only():
+        coupled = algo.run(instance)
+    return coupled, algo.run(instance)
 
 
 def assert_decision_identical(instance, seq, bat):
@@ -124,29 +127,29 @@ def mixed_network() -> CloudNetwork:
     return CloudNetwork(tier2, tier1, edges)
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert BACKENDS == ("sequential", "batched")
-        seq = RegularizedSubproblem(star_network(), SubproblemConfig())
-        bat = RegularizedSubproblem(
-            star_network(), SubproblemConfig(backend="batched")
-        )
-        assert seq._batched is None
-        assert isinstance(bat._batched, BatchedNewtonBackend)
+class TestDispatch:
+    def test_star_graph_builds_the_closed_form(self):
+        sub = RegularizedSubproblem(star_network(), SubproblemConfig())
+        assert isinstance(sub._batched, BatchedNewtonBackend)
 
-    def test_unknown_backend_names_the_alternatives(self):
-        with pytest.raises(ValueError, match="unknown solver backend 'nope'") as exc:
-            SubproblemConfig(backend="nope")
-        assert "sequential" in str(exc.value)
-        assert "batched" in str(exc.value)
+    def test_config_holds_no_solver_choice(self):
+        assert [f.name for f in fields(SubproblemConfig)] == [
+            "epsilon",
+            "epsilon_prime",
+            "backend",
+        ]
+        assert SubproblemConfig().backend == "batched"
+        SubproblemConfig(backend="batched")  # the one accepted value
 
-    def test_config_rejects_unknown_backend_at_construction(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            SubproblemConfig(backend="typo")
+    @pytest.mark.parametrize("name", ["sequential", "typo"])
+    def test_removed_backend_choice_raises(self, name):
+        with pytest.raises(ValueError, match="backend choice was removed"):
+            SubproblemConfig(backend=name)
 
 
 class TestSequentialDispatch:
-    """solve_reduced under "sequential" is the coupled solve, bitwise."""
+    """On a non-star graph solve_reduced is the coupled (formerly
+    ``sequential``) solve, bitwise."""
 
     def test_dispatch_equals_coupled_solve(self, small_network):
         inst = make_instance(small_network, horizon=4, seed=2)
@@ -166,7 +169,7 @@ class TestSequentialDispatch:
 
 
 class TestGoldenEquivalence:
-    """Batched == sequential decisions across the fig5-fig10 regimes."""
+    """Closed form == coupled decisions across the fig5-fig10 regimes."""
 
     @pytest.mark.parametrize(
         "workload,k,recon_weight,epsilon",
@@ -177,7 +180,7 @@ class TestGoldenEquivalence:
             # fig6: epsilon sweep
             ("wikipedia", 1, 1e3, 1e-3),
             ("wikipedia", 1, 1e3, 1e-1),
-            # fig7: SLA-size sweep (k=2: non-star, both run the coupled solve)
+            # fig7: SLA-size sweep (k=2: non-star, both runs are coupled)
             ("wikipedia", 2, 1e3, 1e-2),
             # fig8-10 regime: epsilon=1e-3 anchor + bursty workload
             ("worldcup", 1, 1e3, 1e-3),
@@ -194,12 +197,13 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("shape", ["mixed", "geo4"])
     def test_non_star_graphs_decide_like_sequential(self, shape):
         # A non-star component anywhere: no closed-form handle is built
-        # and every slot is the coupled solve, bitwise.
+        # and every slot is the coupled (formerly "sequential") solve,
+        # bitwise like a coupled-only run.
         if shape == "mixed":
             inst = make_instance(mixed_network(), horizon=12, seed=4)
         else:
             inst = geo_k2_instance(n_regions=4, horizon=24)
-        sub = RegularizedSubproblem(inst.network, SubproblemConfig(backend="batched"))
+        sub = RegularizedSubproblem(inst.network, SubproblemConfig())
         assert sub._batched is None
         seq, bat = run_both(inst)
         assert np.array_equal(seq.x, bat.x)
@@ -217,9 +221,8 @@ class TestGoldenEquivalence:
 
     def test_step_stats_tagged_with_backend(self):
         inst = make_instance(star_network(), horizon=5, seed=1)
-        bat = RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+        seq, bat = run_both(inst)
         assert "batched" in bat.run_stats.backends
-        seq = RegularizedOnline(SubproblemConfig()).run(inst)
         assert "batched" not in seq.run_stats.backends
 
 
@@ -265,29 +268,45 @@ class TestSparseWorkspace:
         assert sub._prog.last_info.newton_system == "structured"
         assert_warm_chain_matches_cold(inst)
 
-    def test_48_region_run_matches_block_newton_cost(self):
+    def test_48_region_run_matches_block_newton_cost(self, monkeypatch):
         from repro.obs import metrics
 
+        # Force one non-descent step: the first Newton direction of
+        # slot 2's warm solve comes back negated, so that solve must
+        # restart cold and still reach the optimum.
+        slots, flipped = [], []
+        coupled = RegularizedSubproblem._solve_reduced_coupled
+        newton = P2NewtonSystem.solve
+
+        def counted(self, *args, **kwargs):
+            slots.append(args[0])
+            return coupled(self, *args, **kwargs)
+
+        def negated_once(self, *args):
+            dv = newton(self, *args)
+            if len(slots) == 3 and not flipped:
+                flipped.append(True)
+                return -dv
+            return dv
+
+        monkeypatch.setattr(RegularizedSubproblem, "_solve_reduced_coupled", counted)
+        monkeypatch.setattr(P2NewtonSystem, "solve", negated_once)
         inst = geo_k2_instance(n_regions=48, horizon=6)
-        runs = {}
-        for backend in BACKENDS:
-            with metrics.use() as reg:
-                runs[backend] = RegularizedOnline(
-                    SubproblemConfig(backend=backend)
-                ).run(inst)
-            outcomes = {
-                e["labels"]["outcome"]: e["value"]
-                for e in reg.snapshot()["metrics"]
-                if e["name"] == "subproblem_warm_starts_total"
-            }
-            assert outcomes.get("restart", 0) >= 1, backend
-            # No slot went to trust-constr.
-            assert runs[backend].run_stats.backends == ("barrier",)
-            cost = evaluate_cost(inst, runs[backend]).total
-            # 580.27M is what the (since deleted) batched block-Newton
-            # path reached; the non-descent slot made it 591.63M.
-            assert abs(cost - 580_273_527.7) <= DCOST_TOL * 580_273_527.7, cost
-        assert np.array_equal(runs["sequential"].x, runs["batched"].x)
+        with metrics.use() as reg:
+            traj = RegularizedOnline(SubproblemConfig()).run(inst)
+        assert flipped
+        outcomes = {
+            e["labels"]["outcome"]: e["value"]
+            for e in reg.snapshot()["metrics"]
+            if e["name"] == "subproblem_warm_starts_total"
+        }
+        assert outcomes.get("restart", 0) >= 1
+        # No slot went to trust-constr.
+        assert traj.run_stats.backends == ("barrier",)
+        cost = evaluate_cost(inst, traj).total
+        # 580.27M is what the (since deleted) batched block-Newton path
+        # reached; a non-descent slot accepted as centered made it 591.63M.
+        assert abs(cost - 580_273_527.7) <= DCOST_TOL * 580_273_527.7, cost
 
 
 class TestObservability:
@@ -296,7 +315,7 @@ class TestObservability:
 
         inst = make_instance(star_network(), horizon=5, seed=1)
         with metrics.use() as reg:
-            RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+            RegularizedOnline(SubproblemConfig()).run(inst)
         values = {
             (e["name"], e["labels"].get("reason")): e.get("value")
             for e in reg.snapshot()["metrics"]
@@ -320,7 +339,7 @@ class TestObservability:
         tier2_price[1, 0] = 0.0
         inst = Instance(net, base.workload, tier2_price, base.link_price)
         with metrics.use() as reg:
-            traj = RegularizedOnline(SubproblemConfig(backend="batched")).run(inst)
+            traj = RegularizedOnline(SubproblemConfig()).run(inst)
         assert check_trajectory(inst, traj).ok
         counters = {
             (e["name"], e["labels"].get("reason")): e["value"]
@@ -374,9 +393,10 @@ class TestKKTCertificates:
 
 
 class TestServeWithBatchedBackend:
-    """Serve runtime: checkpoints record the backend; resume is bitwise."""
+    """Serve runtime on the closed form: resume is bitwise, and carries
+    and event logs that still record a solver backend keep working."""
 
-    BATCHED = SubproblemConfig(epsilon=1e-2, backend="batched")
+    BATCHED = SubproblemConfig(epsilon=1e-2)
 
     def make_star_instance(self):
         return make_instance(star_network(), horizon=10, seed=5)
@@ -412,26 +432,43 @@ class TestServeWithBatchedBackend:
         assert np.array_equal(resumed.trajectory.s, full.trajectory.s)
         assert resumed.paths == full.paths
 
-    def test_resume_restores_recorded_backend(self, tmp_path):
+    @pytest.mark.parametrize("recorded", ["sequential", "batched"])
+    def test_resume_ignores_recorded_backend(self, tmp_path, monkeypatch, recorded):
+        # Earlier versions wrote the solver backend into every carry's
+        # controller snapshot; such a carry resumes, on a non-star graph
+        # bitwise like an uninterrupted run.
         from repro.serve import ServeConfig, ServeLoop
+        from repro.serve.checkpoint import load_checkpoint
 
-        inst = self.make_star_instance()
+        inst = make_instance(mixed_network(), horizon=10, seed=5)
         path = tmp_path / "ck.npz"
-        ServeLoop(
-            RegularizedOnline(self.BATCHED),
-            inst,
-            ServeConfig(checkpoint_path=path, checkpoint_every=1, max_slots=3),
+        export = RegularizedOnline.export_state
+        with monkeypatch.context() as m:
+            m.setattr(
+                RegularizedOnline,
+                "export_state",
+                lambda self, state: {**export(self, state), "backend": recorded},
+            )
+            ServeLoop(
+                RegularizedOnline(SubproblemConfig()),
+                inst,
+                ServeConfig(checkpoint_path=path, checkpoint_every=1, max_slots=3),
+            ).run()
+        assert load_checkpoint(path)["controller"]["backend"] == recorded
+        resumed = ServeLoop.resume(
+            RegularizedOnline(SubproblemConfig()), inst, path
         ).run()
-        # Relaunch with the default (sequential) config: the restored
-        # session keeps solving on the backend that wrote the checkpoint.
-        loop = ServeLoop.resume(RegularizedOnline(SubproblemConfig()), inst, path)
-        assert loop.session.state.subproblem.config.backend == "batched"
-        full = ServeLoop(RegularizedOnline(self.BATCHED), inst).run()
-        resumed = loop.run()
-        assert np.array_equal(resumed.trajectory.x, full.trajectory.x)
+        full = ServeLoop(RegularizedOnline(SubproblemConfig()), inst).run()
+        for field in ("x", "y", "s"):
+            assert getattr(resumed.trajectory, field).tobytes() == (
+                getattr(full.trajectory, field).tobytes()
+            )
 
-    def test_serve_start_event_records_backend(self):
-        from repro.evaluation.reporting import render_serve_events
+    def test_replay_renders_a_log_with_a_backend_field(self, tmp_path, capsys):
+        # serve_start events of earlier versions carry the solver backend.
+        import json
+
+        from repro.cli import main
         from repro.serve import EventLog, ServeConfig, ServeLoop
 
         inst = self.make_star_instance()
@@ -440,12 +477,17 @@ class TestServeWithBatchedBackend:
             RegularizedOnline(self.BATCHED), inst, ServeConfig(max_slots=2), log
         ).run()
         start = next(e for e in log.events if e["event"] == "serve_start")
-        assert start["backend"] == "batched"
-        assert "solver backend" in render_serve_events(log.events)
+        assert "backend" not in start
+        start["backend"] = "sequential"
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in log.events))
+        assert main(["replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "slots" in out and "path:primary" in out
 
 
 class TestParallelSweeps:
-    """Backend flags survive process-pool pickling (satellite fix)."""
+    """Configs survive process-pool pickling."""
 
     def test_fig5_jobs_rows_identical_to_serial_under_batched(self):
         from repro.evaluation.experiments import fig5_cost_no_prediction
@@ -453,7 +495,6 @@ class TestParallelSweeps:
         kwargs = dict(
             scale=ExperimentScale.tiny(),
             recon_weights=(1e2, 1e3),
-            backend="batched",
         )
         serial = fig5_cost_no_prediction(jobs=None, **kwargs)
         parallel = fig5_cost_no_prediction(jobs=2, **kwargs)
@@ -463,9 +504,8 @@ class TestParallelSweeps:
         from repro.evaluation.experiments import fig5_cost_no_prediction, _fig5_point
         import pickle
 
-        # The worker payload must round-trip the backend through pickle.
-        config = SubproblemConfig(epsilon=1e-2, epsilon_prime=0.5, backend="batched")
+        # The worker payload must round-trip the whole config through pickle.
+        config = SubproblemConfig(epsilon=1e-2, epsilon_prime=0.5)
         args = (ExperimentScale.tiny(), "wikipedia", 1e2, config, 1)
         restored = pickle.loads(pickle.dumps(args))
-        assert restored[3].backend == "batched"
-        assert restored[3].epsilon_prime == 0.5
+        assert restored[3] == config

@@ -19,7 +19,7 @@ from repro.solvers import (
 from repro.solvers.barrier import _Workspace, barrier_solve
 from repro.solvers.convex import EntropicTerm
 
-from conftest import make_instance, make_network
+from conftest import coupled_only, make_instance, make_network
 
 
 def covering_program(n=5):
@@ -215,7 +215,9 @@ class TestStructuredNewtonDirection:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_paper_topology(self, monkeypatch, k):
-        self._check(_capture_structured_steps(monkeypatch, _paper(k), slots=3))
+        # k = 1 is all stars: force the coupled solve the closed form skips.
+        with coupled_only():
+            self._check(_capture_structured_steps(monkeypatch, _paper(k), slots=3))
 
     def test_unequal_tier1_degrees(self, monkeypatch):
         self._check(_capture_structured_steps(monkeypatch, _unequal_degree_instance()))
